@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 
 from .documents import parse_certificate, serialize_certificate, serialize_witness
 from .elimination import as_leader_poly, discriminant, resultant
@@ -169,14 +169,13 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     out = io.StringIO()
     err = io.StringIO()
     try:
-        with redirect_stdout(out), redirect_stderr(err):
+        with redirect_stdout(out):
             args = _build_parser().parse_args(argv)
             output = _dispatch(args, stdin_text)
         out.write(output)
         return 0, out.getvalue(), err.getvalue()
-    except SystemExit as exc:  # argparse --help
-        code = 0 if exc.code in (0, None) else 1
-        return code, out.getvalue(), err.getvalue()
+    except SystemExit:  # argparse --help; _Parser.error raises instead
+        return 0, out.getvalue(), err.getvalue()
     except InputError as exc:
         err.write(f"error: {exc.slug}: {exc}\n")
         return 1, out.getvalue(), err.getvalue()

@@ -134,10 +134,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
     def exponent(self, var: DerivVar) -> int:
         for v, e in self.factors:
             if v == var:
@@ -369,9 +365,6 @@ class DiffPoly:
     def degree_in(self, var: DerivVar) -> int:
         return max((m.exponent(var) for m in self._terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((m.degree for m in self._terms), default=0)
-
     def coefficient_of(self, var: DerivVar, power: int) -> DiffPoly:
         """Coefficient of ``var**power``, with ``var`` removed."""
         acc: dict[Monomial, Fraction] = {}
@@ -380,10 +373,6 @@ class DiffPoly:
                 rest = Monomial._make(tuple(f for f in mono.factors if f[0] != var))
                 acc[rest] = acc.get(rest, _ZERO) + c
         return DiffPoly(self.ctx, acc)
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the unit monomial."""
-        return self._terms.get(Monomial.UNIT, _ZERO)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest term under the canonical monomial order."""

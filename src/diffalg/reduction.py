@@ -130,15 +130,6 @@ def ritt_reduce(
     cofactors: dict[int, DiffPoly] = {}
     last_measure: tuple[int, int] | None = None
 
-    def step(multiplier: DiffPoly, k: int, partial_quotient: DiffPoly) -> None:
-        # Multiply the running identity through, then cancel against
-        # delta^k(divisor).
-        nonlocal work, cofactors
-        cofactors = {j: c * multiplier for j, c in cofactors.items()}
-        prev = cofactors.get(k)
-        cofactors[k] = partial_quotient if prev is None else prev + partial_quotient
-        work = work * multiplier - partial_quotient * divisor_deriv(k)
-
     while not work.is_zero:
         h = work.order_in(main)
         if h is None or h < r:
@@ -149,27 +140,31 @@ def ritt_reduce(
         assert last_measure is None or measure < last_measure, "descent stalled"
         last_measure = measure
 
+        # Pick the multiplier, the derivative index k of the divisor to
+        # cancel against, and the leader degree that multiple removes.
         if h > r:
-            top = work.coefficient_of(leader, e)
-            quotient = top * DiffPoly(ctx, {Monomial(((leader, e - 1),)): 1})
-            step(sep, h - r, quotient)
-            n += 1
-        elif mode is ReductionMode.FULL:
-            if e < d:
-                break
-            top = work.coefficient_of(leader, e)
-            quotient = top * DiffPoly(ctx, {Monomial(((leader, e - d),)): 1})
-            step(init, 0, quotient)
-            m += 1
-        else:
+            multiplier, k, drop = sep, h - r, 1
+        elif mode is ReductionMode.FULL and e >= d:
+            multiplier, k, drop = init, 0, d
+        elif mode is ReductionMode.WEAK and d == 1:
             # Weak mode: the order bound already holds.  A degree-1 divisor
             # has initial == separant, so the leader can still be cleared
             # with the multiplications booked on n.
-            if d != 1 or e < 1:
-                break
-            top = work.coefficient_of(leader, e)
-            quotient = top * DiffPoly(ctx, {Monomial(((leader, e - 1),)): 1})
-            step(sep, 0, quotient)
+            multiplier, k, drop = sep, 0, 1
+        else:
+            break
+
+        # Multiply the running identity through, then cancel against
+        # delta^k(divisor).
+        top = work.coefficient_of(leader, e)
+        quotient = top * DiffPoly(ctx, {Monomial(((leader, e - drop),)): 1})
+        cofactors = {j: c * multiplier for j, c in cofactors.items()}
+        prev = cofactors.get(k)
+        cofactors[k] = quotient if prev is None else prev + quotient
+        work = work * multiplier - quotient * divisor_deriv(k)
+        if multiplier is init:
+            m += 1
+        else:
             n += 1
 
     return certificate(m, n, work, cofactors)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
-from .polynomials import Context, DerivVar, DiffPoly, Monomial, monomial_key
+from .polynomials import Context, DerivVar, DiffPoly, monomial_key
 
 _WORD_MAX = 2**63 - 1
 
@@ -44,9 +44,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("number", text[i:j], i))
             i = j
@@ -193,11 +193,17 @@ def _render_power(var: DerivVar, exponent: int) -> str:
     return f"{body}^{exponent}"
 
 
-def _render_monomial(mono: Monomial, magnitude: Fraction, ctx: Context) -> str:
-    if mono.is_unit:
+def _render_monomial(
+    ranked: tuple[tuple[int, int, int], ...], magnitude: Fraction, ctx: Context
+) -> str:
+    # ``ranked`` is the descending (index, order, exp) tuple of monomial_key;
+    # reversed, it lists the factors by (declaration index, order).
+    if not ranked:
         return str(magnitude)
-    factors = sorted(mono.factors, key=lambda f: (ctx.index(f[0].name), f[0].order))
-    parts = [_render_power(var, exp) for var, exp in factors]
+    parts = [
+        _render_power(DerivVar(ctx.names[i], order), exp)
+        for i, order, exp in reversed(ranked)
+    ]
     if magnitude != 1:
         parts.insert(0, str(magnitude))
     return "*".join(parts)
@@ -208,11 +214,13 @@ def format_poly(p: DiffPoly) -> str:
     if p.is_zero:
         return "0"
     ordered = sorted(
-        p.terms.items(), key=lambda kv: monomial_key(kv[0], p.ctx), reverse=True
+        ((monomial_key(mono, p.ctx), coeff) for mono, coeff in p.terms.items()),
+        key=lambda kc: kc[0],
+        reverse=True,
     )
     pieces: list[str] = []
-    for i, (mono, coeff) in enumerate(ordered):
-        body = _render_monomial(mono, abs(coeff), p.ctx)
+    for i, ((_, ranked), coeff) in enumerate(ordered):
+        body = _render_monomial(ranked, abs(coeff), p.ctx)
         if i == 0:
             pieces.append(f"-{body}" if coeff < 0 else body)
         else:

@@ -151,6 +151,15 @@ class TestSimpleCommands:
         assert (code, out) == (0, "y''' + 1/2*u\n")
         code, out, _ = run(["format", "--vars", "u,y", "- 4*y + (y')^2"])
         assert (code, out) == (0, "(y')^2 - 4*y\n")
+        code, out, _ = run(["format", "--vars", "u,y", "٣*y"])
+        assert (code, out) == (0, "3*y\n")
+
+    def test_format_follows_declaration_order(self):
+        expr = "u*y + y^2 + u^2 + u' + y'"
+        code, out, _ = run(["format", "--vars", "y,u", expr])
+        assert (code, out) == (0, "u^2 + y*u + y^2 + u' + y'\n")
+        code, out, _ = run(["format", "--vars", "u,y", expr])
+        assert (code, out) == (0, "y^2 + u*y + u^2 + y' + u'\n")
 
     def test_main_defaults_to_last_declared(self):
         explicit = run(["rank", "--vars", "u,y", "--main", "y", "--poly", "y''"])
@@ -164,6 +173,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: parse-error:")
+
+    def test_superscript_digit_is_parse_error(self):
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        tampered = certificate.replace("F: y''", "F: 1²")
+        assert tampered != certificate
+        for argv, stdin_text in [
+            (["parse", "--vars", "u,y", "²"], ""),
+            (["rank", "--vars", "u,y", "--poly=2²"], ""),
+            (["verify"], tampered),
+        ]:
+            code, out, err = run(argv, stdin_text)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: parse-error:")
+            assert err.count("\n") == 1
 
     def test_undeclared_indeterminate_is_exit_one(self):
         code, _, err = run(["parse", "--vars", "u,y", "w"])

@@ -68,6 +68,9 @@ class TestParse:
     def test_whitespace_insignificant(self):
         assert P("  y ''   *u ") == P("y''*u")
 
+    def test_other_decimal_digits_accepted(self):
+        assert P("٣*y") == 3 * P("y")
+
 
 class TestRejection:
     @pytest.mark.parametrize(
@@ -88,6 +91,10 @@ class TestRejection:
             "y..",
             "--y",
             "3 + -4",
+            "²",
+            "2²",
+            "y^²",
+            "y^(²)",
         ],
     )
     def test_syntax_errors(self, text):
@@ -131,6 +138,12 @@ class TestFormat:
 
     def test_factors_in_declaration_order(self):
         assert format_poly(P("y'*u")) == "u*y'"
+        # Declaration order, not name order.
+        text = "u*y + y^2 + u^2 + u' + y'"
+        assert format_poly(parse_poly(text, Context("y", "u"))) == (
+            "u^2 + y*u + y^2 + u' + y'"
+        )
+        assert format_poly(P(text)) == "y^2 + u*y + u^2 + y' + u'"
 
 
 class TestRoundTrip:
