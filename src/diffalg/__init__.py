@@ -23,7 +23,7 @@ from .errors import (
     ZeroPolynomial,
     ZeroTarget,
 )
-from .polynomials import Context, DerivVar, DiffPoly, Monomial, exact_div, monomial_key
+from .polynomials import Context, DerivVar, DiffPoly, Monomial, exact_div
 from .ranking import Comparison, RankProfile, initial, rank_compare, rank_profile, separant
 from .reduction import (
     MembershipResult,
@@ -97,7 +97,6 @@ __all__ = [
     "exact_div",
     "format_poly",
     "initial",
-    "monomial_key",
     "parse_certificate",
     "parse_poly",
     "parse_witness",

@@ -78,6 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers keep no state between parse_args calls, so one serves
+# every run(); building it costs more than a small command.
+_PARSER = _build_parser()
+
+
 def _context(args) -> Context:
     names = [name.strip() for name in args.vars.split(",")]
     try:
@@ -95,10 +100,9 @@ def _main_name(args, ctx: Context) -> str:
 def _parse_leader(text: str, ctx: Context) -> DerivVar:
     p = parse_poly(text, ctx)
     terms = list(p.terms.items())
-    if len(terms) == 1 and terms[0][1] == 1 and len(terms[0][0].factors) == 1:
-        var, exp = terms[0][0].factors[0]
-        if exp == 1:
-            return var
+    if len(terms) == 1 and terms[0][1] == 1 and terms[0][0].degree == 1:
+        (var,) = terms[0][0].variables()
+        return var
     raise ParseError(0, "a single derivative variable", text)
 
 
@@ -170,7 +174,7 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     err = io.StringIO()
     try:
         with redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
+            args = _PARSER.parse_args(argv)
             output = _dispatch(args, stdin_text)
         out.write(output)
         return 0, out.getvalue(), err.getvalue()

@@ -27,7 +27,7 @@ from .errors import (
 
 Scalar = Union[int, Fraction]
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9]*\Z")
+_IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
 _ZERO = Fraction(0)
 
 
@@ -52,7 +52,7 @@ class Context:
         if not names:
             raise ValueError("at least one indeterminate must be declared")
         for name in names:
-            if not isinstance(name, str) or not _IDENT_RE.match(name):
+            if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid indeterminate name {name!r}")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate indeterminate names in {names!r}")
@@ -98,82 +98,61 @@ class Context:
 class Monomial:
     """A finite product of derivative variables with positive exponents.
 
-    Factors are stored sorted by (name, derivative order), so equal
-    monomials are structurally identical regardless of construction order.
+    The factors live in a private map from variable to exponent.  Equality
+    and the hash depend only on that map, not on the order in which the
+    factors were given, so ``monomial_key`` is the one order on monomials.
     The empty product is the unit monomial.
     """
 
-    __slots__ = ("factors", "_hash")
-
-    factors: tuple[tuple[DerivVar, int], ...]
+    __slots__ = ("_exps", "_hash")
 
     def __init__(self, factors: Iterable[tuple[DerivVar, int]] = ()):
-        kept = []
+        exps: dict[DerivVar, int] = {}
         for var, exp in factors:
             if exp < 0:
                 raise ValueError(f"negative exponent for {var}")
             if exp:
-                kept.append((var, exp))
-        kept.sort()
-        if len({v for v, _ in kept}) != len(kept):
-            raise ValueError("repeated variable in monomial factors")
-        self.factors = tuple(kept)
-        self._hash = hash(self.factors)
+                if var in exps:
+                    raise ValueError("repeated variable in monomial factors")
+                exps[var] = exp
+        self._exps = exps
+        self._hash = hash(frozenset(exps.items()))
 
     @classmethod
-    def _make(cls, sorted_factors: tuple[tuple[DerivVar, int], ...]) -> Monomial:
-        # Internal fast path: factors already sorted, positive, distinct.
+    def _make(cls, exps: dict[DerivVar, int]) -> Monomial:
+        # Internal fast path: exponents positive; the result owns ``exps``.
         m = object.__new__(cls)
-        m.factors = sorted_factors
-        m._hash = hash(sorted_factors)
+        m._exps = exps
+        m._hash = hash(frozenset(exps.items()))
         return m
 
     UNIT: Monomial  # assigned below
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return sum(self._exps.values())
 
     def exponent(self, var: DerivVar) -> int:
-        for v, e in self.factors:
-            if v == var:
-                return e
-        return 0
+        return self._exps.get(var, 0)
 
     def variables(self) -> Iterator[DerivVar]:
-        return (v for v, _ in self.factors)
+        return iter(self._exps)
 
     def __mul__(self, other: Monomial) -> Monomial:
-        # Merge-join of two sorted factor tuples.
-        a, b = self.factors, other.factors
-        if not a:
-            return other
+        a, b = self._exps, other._exps
         if not b:
             return self
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Monomial._make(tuple(out))
+        if not a:
+            return other
+        out = a.copy()
+        for v, e in b.items():
+            out[v] = out.get(v, 0) + e
+        return Monomial._make(out)
 
     def divide(self, other: Monomial) -> Monomial | None:
         """Quotient monomial, or None when ``other`` does not divide."""
-        left = dict(self.factors)
-        for v, e in other.factors:
+        left = self._exps.copy()
+        for v, e in other._exps.items():
             have = left.get(v, 0)
             if have < e:
                 return None
@@ -181,24 +160,24 @@ class Monomial:
                 del left[v]
             else:
                 left[v] = have - e
-        return Monomial._make(tuple(sorted(left.items())))
+        return Monomial._make(left)
 
     def split(self, name: str) -> tuple[Monomial, Monomial]:
         """Partition into (factors on ``name``, remaining factors)."""
-        mine = tuple((v, e) for v, e in self.factors if v.name == name)
-        rest = tuple((v, e) for v, e in self.factors if v.name != name)
+        mine = {v: e for v, e in self._exps.items() if v.name == name}
+        rest = {v: e for v, e in self._exps.items() if v.name != name}
         return Monomial._make(mine), Monomial._make(rest)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.factors == other.factors
+        return isinstance(other, Monomial) and self._exps == other._exps
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.factors:
+        if not self._exps:
             return "Monomial()"
-        body = ", ".join(f"({v.name!r},{v.order})^{e}" for v, e in self.factors)
+        body = ", ".join(f"({v.name!r},{v.order})^{e}" for v, e in self._exps.items())
         return f"Monomial[{body}]"
 
 
@@ -213,9 +192,21 @@ def monomial_key(mono: Monomial, ctx: Context):
     order).
     """
     ranked = sorted(
-        ((ctx.index(v.name), v.order, e) for v, e in mono.factors), reverse=True
+        ((ctx.index(v.name), v.order, e) for v, e in mono._exps.items()), reverse=True
     )
     return (mono.degree, tuple(ranked))
+
+
+def _collect(terms: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Sum the coefficients of equal monomials; zero sums are dropped."""
+    acc: dict[Monomial, Fraction] = {}
+    for mono, c in terms:
+        s = acc.get(mono, _ZERO) + c
+        if s:
+            acc[mono] = s
+        else:
+            acc.pop(mono, None)
+    return acc
 
 
 class DiffPoly:
@@ -234,15 +225,8 @@ class DiffPoly:
         terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
     ):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            c = acc.get(mono, _ZERO) + Fraction(coeff)
-            if c:
-                acc[mono] = c
-            else:
-                acc.pop(mono, None)
         self.ctx = ctx
-        self._terms = acc
+        self._terms = _collect((mono, Fraction(c)) for mono, c in items)
 
     @classmethod
     def _raw(cls, ctx: Context, terms: dict[Monomial, Fraction]) -> DiffPoly:
@@ -306,18 +290,12 @@ class DiffPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        if not self._terms or not q._terms:
-            return DiffPoly._raw(self.ctx, {})
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in q._terms.items():
-                mono = m1 * m2
-                s = acc.get(mono, _ZERO) + c1 * c2
-                if s:
-                    acc[mono] = s
-                else:
-                    acc.pop(mono, None)
-        return DiffPoly._raw(self.ctx, acc)
+        products = (
+            (m1 * m2, c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in q._terms.items()
+        )
+        return DiffPoly._raw(self.ctx, _collect(products))
 
     __rmul__ = __mul__
 
@@ -367,12 +345,12 @@ class DiffPoly:
 
     def coefficient_of(self, var: DerivVar, power: int) -> DiffPoly:
         """Coefficient of ``var**power``, with ``var`` removed."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            if mono.exponent(var) == power:
-                rest = Monomial._make(tuple(f for f in mono.factors if f[0] != var))
-                acc[rest] = acc.get(rest, _ZERO) + c
-        return DiffPoly(self.ctx, acc)
+        picked = (
+            (Monomial._make({v: e for v, e in mono._exps.items() if v != var}), c)
+            for mono, c in self._terms.items()
+            if mono.exponent(var) == power
+        )
+        return DiffPoly._raw(self.ctx, _collect(picked))
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest term under the canonical monomial order."""
@@ -386,19 +364,13 @@ class DiffPoly:
 
     def partial(self, var: DerivVar) -> DiffPoly:
         """Formal partial derivative with respect to one derivative variable."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            e = mono.exponent(var)
-            if not e:
-                continue
-            reduced = dict(mono.factors)
-            if e == 1:
-                del reduced[var]
-            else:
-                reduced[var] = e - 1
-            m = Monomial._make(tuple(sorted(reduced.items())))
-            acc[m] = acc.get(m, _ZERO) + c * e
-        return DiffPoly._raw(self.ctx, {m: c for m, c in acc.items() if c})
+        once = Monomial(((var, 1),))
+        lowered = (
+            (mono.divide(once), c * e)
+            for mono, c in self._terms.items()
+            if (e := mono.exponent(var))
+        )
+        return DiffPoly._raw(self.ctx, _collect(lowered))
 
     def delta(self, k: int = 1) -> DiffPoly:
         """Apply the derivation ``k`` times."""
@@ -406,34 +378,29 @@ class DiffPoly:
             raise ValueError("derivation count must be non-negative")
         p = self
         for _ in range(k):
-            p = p._delta_once()
+            p = DiffPoly._raw(self.ctx, _collect(p._leibniz_terms()))
         return p
 
-    def _delta_once(self) -> DiffPoly:
-        acc: dict[Monomial, Fraction] = {}
+    def _leibniz_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+        # One term per factor: lower its exponent, raise the next derivative.
         for mono, c in self._terms.items():
-            for var, exp in mono.factors:
-                bumped = dict(mono.factors)
+            exps = mono._exps
+            for var, exp in exps.items():
+                bumped = exps.copy()
                 if exp == 1:
                     del bumped[var]
                 else:
                     bumped[var] = exp - 1
                 up = DerivVar(var.name, var.order + 1)
                 bumped[up] = bumped.get(up, 0) + 1
-                m = Monomial._make(tuple(sorted(bumped.items())))
-                s = acc.get(m, _ZERO) + c * exp
-                if s:
-                    acc[m] = s
-                else:
-                    acc.pop(m, None)
-        return DiffPoly._raw(self.ctx, acc)
+                yield Monomial._make(bumped), c * exp
 
     def evaluate(self, assignment: Mapping[DerivVar, Scalar]) -> Fraction:
         """Exact value under a point assignment covering all variables."""
         total = _ZERO
         for mono, c in self._terms.items():
             value = c
-            for var, exp in mono.factors:
+            for var, exp in mono._exps.items():
                 if var not in assignment:
                     raise MissingAssignment(var)
                 value *= Fraction(assignment[var]) ** exp
@@ -461,7 +428,7 @@ class DiffPoly:
         for mono, c in self._terms.items():
             mine, rest = mono.split(target)
             piece = DiffPoly(self.ctx, {rest: c})
-            for var, exp in mine.factors:
+            for var, exp in mine._exps.items():
                 piece = piece * image_deriv(var.order) ** exp
             result = result + piece
         return result

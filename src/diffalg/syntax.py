@@ -8,9 +8,10 @@ Grammar (one-token lookahead, whitespace insignificant between tokens):
     base     := rational | derivvar | '(' expr ')'
     derivvar := ident "'"* | ident '^(' nat ')'
     rational := nat ('/' nat)?
-    ident    := lowercase letter, then lowercase letters or digits
+    ident    := ASCII lowercase letter, then ASCII lowercase letters or digits
 
 There is no implicit multiplication and '^' binds tighter than '*'.
+Parentheses nest at most 100 deep (``_MAX_NESTING``).
 ``y'''`` and ``y^(3)`` denote the same variable; the printer uses primes
 up to order 3 and the caret form above.  Canonical output lists terms in
 descending monomial order with reduced fractional coefficients; the zero
@@ -23,9 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
-from .polynomials import Context, DerivVar, DiffPoly, monomial_key
+from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, monomial_key
 
 _WORD_MAX = 2**63 - 1
+# Each open parenthesis costs four parser frames; this keeps deep input
+# far from the interpreter's recursion limit.
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -51,12 +55,11 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("number", text[i:j], i))
             i = j
             continue
-        if ch.islower() and ch.isalpha():
-            j = i
-            while j < n and (text[j].isdigit() or (text[j].isalpha() and text[j].islower())):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
+        # Identifiers are exactly the names a Context can declare.
+        ident = _IDENT_RE.match(text, i)
+        if ident:
+            tokens.append(_Token("ident", ident.group(), i))
+            i = ident.end()
             continue
         if ch in "'^()*+-/":
             tokens.append(_Token("op", ch, i))
@@ -72,6 +75,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.ctx = ctx
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -137,8 +141,12 @@ class _Parser:
         if tok.kind == "ident":
             return self.parse_derivvar()
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(tok.pos, f"at most {_MAX_NESTING} nested parentheses", "'('")
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect_op(")")
             return inner
         raise ParseError(tok.pos, "a number, variable or '('", tok.text or "end of input")

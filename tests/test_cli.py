@@ -36,6 +36,14 @@ certificate.cofactor.0: 1
 """
 
 
+def assert_one_parse_error(argv: list[str], stdin_text: str) -> None:
+    code, out, err = run(argv, stdin_text)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: parse-error:")
+    assert err.count("\n") == 1
+
+
 class TestReduceVerify:
     def test_reduce_emits_fixture_certificate(self):
         code, out, err = run([
@@ -182,14 +190,23 @@ class TestExitCodes:
         assert tampered != certificate
         for argv, stdin_text in [
             (["parse", "--vars", "u,y", "²"], ""),
+            (["parse", "--vars", "y", "y²"], ""),
             (["rank", "--vars", "u,y", "--poly=2²"], ""),
             (["verify"], tampered),
         ]:
-            code, out, err = run(argv, stdin_text)
-            assert code == 1
-            assert out == ""
-            assert err.startswith("error: parse-error:")
-            assert err.count("\n") == 1
+            assert_one_parse_error(argv, stdin_text)
+
+    def test_deep_nesting_is_parse_error(self):
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        deep = certificate.replace("F: y''", "F: " + "(" * 300 + "y''" + ")" * 300)
+        assert deep != certificate
+        for argv, stdin_text in [
+            (["parse", "--vars", "u,y", "(" * 250 + "y" + ")" * 250], ""),
+            (["verify"], deep),
+        ]:
+            assert_one_parse_error(argv, stdin_text)
 
     def test_undeclared_indeterminate_is_exit_one(self):
         code, _, err = run(["parse", "--vars", "u,y", "w"])
@@ -235,6 +252,17 @@ class TestExitCodes:
         code, _, err = run(["verify"], stdin_text="not a document")
         assert code == 1
         assert err.startswith("error: document-error:")
+
+    def test_runs_share_no_state(self):
+        reduce = ["reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u"]
+        code, out, _ = run(reduce + ["--weak"])
+        assert code == 0 and "mode: weak\n" in out
+        code, out, _ = run(reduce)
+        assert code == 0 and "mode: full\n" in out
+        code, _, err = run(["reduce", "--vars", "u,y", "--dividend", "y"])
+        assert code == 1 and err.startswith("error: usage:")
+        code, out, err = run(["parse", "--vars", "u,y", "y'"])
+        assert (code, out, err) == (0, "y'\n", "")
 
     def test_help_is_exit_zero(self):
         code, out, _ = run(["--help"])

@@ -201,6 +201,31 @@ class TestMonomialAndContext:
         with pytest.raises(ValueError):
             Monomial(((DerivVar("y", 0), 1), (DerivVar("y", 0), 2)))
 
+    def test_zero_exponent_dropped_before_repeat_check(self):
+        y = DerivVar("y", 0)
+        assert Monomial(((y, 1), (y, 0))) == Monomial(((y, 1),))
+
+    def test_equality_ignores_construction_order(self):
+        u, y1 = DerivVar("u", 0), DerivVar("y", 1)
+        first = Monomial(((u, 2), (y1, 1)))
+        second = Monomial(((y1, 1), (u, 2)))
+        assert first == second
+        assert hash(first) == hash(second)
+
+    @given(monomials, monomials)
+    def test_product_commutes(self, a, b):
+        assert a * b == b * a
+        assert hash(a * b) == hash(b * a)
+
+    @given(monomials, monomials)
+    def test_divide_undoes_product(self, a, b):
+        assert (a * b).divide(b) == a
+
+    def test_divide_rejects_non_divisor(self):
+        u, y = DerivVar("u", 0), DerivVar("y", 0)
+        assert Monomial(((u, 1), (y, 1))).divide(Monomial(((y, 2),))) is None
+        assert Monomial(((u, 1),)).divide(Monomial(((y, 1),))) is None
+
     def test_context_validation(self):
         with pytest.raises(ValueError):
             Context("u", "u")

@@ -95,6 +95,9 @@ class TestRejection:
             "2²",
             "y^²",
             "y^(²)",
+            "y²",
+            "é",
+            "yé",
         ],
     )
     def test_syntax_errors(self, text):
@@ -115,6 +118,12 @@ class TestRejection:
         with pytest.raises(ParseError) as excinfo:
             P("y + )")
         assert excinfo.value.position == 4
+
+    def test_nesting_bound(self):
+        assert P("(" * 100 + "y" + ")" * 100) == P("y")
+        with pytest.raises(ParseError) as excinfo:
+            P("(" * 101 + "y" + ")" * 101)
+        assert excinfo.value.position == 100
 
 
 class TestFormat:
