@@ -1,11 +1,14 @@
 """Resultants and discriminants in a chosen leader variable.
 
 Polynomials are regrouped as univariate in one derivative variable with
-differential-polynomial coefficients; the resultant is the determinant of
-the Sylvester matrix, computed by fraction-free elimination (every pivot
-update divides exactly by the previous pivot, which keeps intermediate
-entries at minor size).  Plain cofactor expansion is kept alongside as an
-independent cross-check for the test suite.
+differential-polynomial coefficients.  The resultant is computed by the
+subresultant polynomial remainder sequence of Collins (1967) and
+Brown–Traub (1971): repeated pseudo-remainders, each divided exactly by a
+factor the recurrence predicts, so every intermediate coefficient stays
+at the size of a subresultant.  It equals the determinant of the
+Sylvester matrix.  That determinant is kept in two independent forms,
+fraction-free (Bareiss) elimination and plain cofactor expansion, which
+the test suite compares with each other and with the resultant.
 
 Degenerate degrees follow fixed conventions so the witness pipeline stays
 total for degree-1 divisors:
@@ -81,7 +84,11 @@ def sylvester_matrix(p: LeaderPoly, q: LeaderPoly) -> list[list[DiffPoly]]:
 
 
 def det_bareiss(matrix: list[list[DiffPoly]], ctx: Context) -> DiffPoly:
-    """Determinant by fraction-free elimination with exact pivot division."""
+    """Determinant by fraction-free elimination with exact pivot division.
+
+    Not on the resultant path: acceptance criterion 4 checks it against
+    ``det_cofactor`` on Sylvester matrices.
+    """
     n = len(matrix)
     if n == 0:
         return ctx.one()
@@ -135,8 +142,36 @@ def det_cofactor(matrix: list[list[DiffPoly]], ctx: Context) -> DiffPoly:
     return expand(0, tuple(range(n)))
 
 
+def _prem(a: list[DiffPoly], b: list[DiffPoly]) -> list[DiffPoly]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
+
+    Both arguments and the result are coefficient lists by descending
+    power; the result has no leading zeros and is empty when b divides.
+    """
+    lb, r = b[0], a
+    steps = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        lr = r[0]
+        r = [lb * r[i] - lr * b[i] for i in range(1, len(b))] + [lb * c for c in r[len(b):]]
+        while r and r[0].is_zero:
+            r.pop(0)
+        steps -= 1
+    # A degree that dropped by more than one skipped steps; scale them in.
+    if steps and r:
+        scale = lb ** steps
+        r = [scale * c for c in r]
+    return r
+
+
 def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
-    """Resultant of two leader polynomials in the same variable."""
+    """Resultant of two leader polynomials in the same variable.
+
+    Computed by the subresultant PRS (Collins 1967, Brown–Traub 1971):
+    the arguments are ordered so that deg p >= deg q, at the sign
+    (-1)^(deg p * deg q) when swapped; each pseudo-remainder is divided
+    exactly by g * h^delta, and the result is zero as soon as one
+    vanishes.  Degree-0 arguments follow the module's conventions.
+    """
     if p.variable != q.variable:
         raise ValueError("leader polynomials use different variables")
     if p.coefficients[0].is_zero or q.coefficients[0].is_zero:
@@ -148,7 +183,36 @@ def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
         return p.coefficients[0] ** dq
     if dq == 0:
         return q.coefficients[0] ** dp
-    return det_bareiss(sylvester_matrix(p, q), p.ctx)
+    a, b = list(p.coefficients), list(q.coefficients)
+    negate = False
+    if dp < dq:
+        a, b = b, a
+        negate = dp * dq % 2 == 1
+    g = h = p.ctx.one()
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        # res(a, b) = (-1)^(da*db) res(b, a), and each step swaps them.
+        if da % 2 and db % 2:
+            negate = not negate
+        r = _prem(a, b)
+        if not r:
+            return p.ctx.zero()
+        divisor = g * h ** delta  # 1 on the first step
+        if divisor != 1:
+            r = [exact_div(c, divisor) for c in r]
+        a, b = b, r
+        g = a[0]
+        # h = g^delta / h^(delta - 1); delta == 0 happens only on the
+        # first step, where h stays 1.
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = exact_div(g ** delta, h ** (delta - 1))
+    # b is a nonzero constant: the last subresultant is lc(b)^da / h^(da - 1).
+    da = len(a) - 1
+    res = b[0] if da == 1 else exact_div(b[0] ** da, h ** (da - 1))
+    return -res if negate else res
 
 
 def discriminant(p: DiffPoly, main: str) -> DiffPoly:

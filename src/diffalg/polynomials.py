@@ -448,7 +448,8 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
     """Exact quotient p / q in the polynomial ring.
 
     Raises ValueError when q does not divide p exactly; used where
-    divisibility is guaranteed (fraction-free elimination pivots).
+    divisibility is guaranteed (fraction-free elimination pivots and the
+    divisions of the subresultant PRS).
 
     Each round cancels the remainder's leading term against q's, so the
     leading monomial strictly decreases and the loop runs once per

@@ -7,7 +7,16 @@ import random
 from diffalg.cli import run
 
 import _corpus
-from diffalg import Context, format_poly
+from diffalg import (
+    Context,
+    DerivVar,
+    as_leader_poly,
+    det_cofactor,
+    format_poly,
+    parse_poly,
+    separant,
+    sylvester_matrix,
+)
 
 CTX = Context("u", "y")
 
@@ -126,6 +135,17 @@ class TestSimpleCommands:
     def test_discriminant(self):
         code, out, _ = run(["discriminant", "--vars", "u,y", "--poly", "(y')^2 - 4*y"])
         assert (code, out) == (0, "-16*y\n")
+
+    def test_discriminant_degree_six(self):
+        text = " + ".join(f"(u+{i}*y+1)*(y')^{i}" for i in range(7))
+        code, out, err = run(["discriminant", "--vars", "u,y", "--main", "y", "--poly", text])
+        poly = parse_poly(text, CTX)
+        leader = DerivVar("y", 1)
+        matrix = sylvester_matrix(
+            as_leader_poly(poly, leader), as_leader_poly(separant(poly, "y"), leader)
+        )
+        assert (code, err) == (0, "")
+        assert out == format_poly(det_cofactor(matrix, CTX)) + "\n"
 
     def test_resultant(self):
         code, out, _ = run([

@@ -155,6 +155,65 @@ class TestResultant:
             resultant(lp, fake)
 
 
+def _random_in_leader(rng: random.Random, degree: int) -> DiffPoly:
+    """Degree ``degree`` in y' with coefficients in u, u' and y."""
+    total = CTX.zero()
+    for power in range(degree + 1):
+        raw = _corpus.random_poly(
+            rng, CTX, max_order=1, max_total_degree=2, max_terms=2, coeff_lo=-3, coeff_hi=3,
+        )
+        coeff = DiffPoly(CTX, {m: c for m, c in raw.terms.items() if m.exponent(YP) == 0})
+        if power == degree and coeff.is_zero:
+            coeff = CTX.one()
+        total = total + coeff * CTX.var("y", 1) ** power
+    return total
+
+
+class TestResultantOracle:
+    """``resultant`` against cofactor expansion of the Sylvester matrix."""
+
+    @staticmethod
+    def _check(p: DiffPoly, q: DiffPoly) -> DiffPoly:
+        lp, lq = as_leader_poly(p, YP), as_leader_poly(q, YP)
+        res = resultant(lp, lq)
+        assert res == det_cofactor(sylvester_matrix(lp, lq), CTX)
+        return res
+
+    def test_random_pairs(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            p = _random_in_leader(rng, rng.randint(1, 4))
+            q = _random_in_leader(rng, rng.randint(1, 4))
+            self._check(p, q)
+
+    def test_planted_common_factor(self):
+        rng = random.Random(47)
+        for _ in range(10):
+            h = _random_in_leader(rng, rng.randint(1, 2))
+            p = h * _random_in_leader(rng, rng.randint(0, 2))
+            q = h * _random_in_leader(rng, rng.randint(0, 2))
+            assert self._check(p, q).is_zero
+
+    def test_swap_sign_odd_degrees(self):
+        p, q = P("u*y'^3 + y*y' + u'"), P("y*y' + u")
+        assert self._check(p, q) == -self._check(q, p)
+        assert not self._check(p, q).is_zero
+
+    def test_degree_gap(self):
+        # Gaps of 2 and 3 exercise h = g^delta / h^(delta-1).
+        self._check(P("u*y'^4 + y*y'^2 + u'"), P("y*y'^2 + u*y' + 1"))
+        self._check(P("y'^5 + u*y'^2 + y"), P("(u + y)*y'^2 + u'"))
+
+    def test_remainder_degree_drops_by_two(self):
+        # prem(y'^4 + u, y'^3 + u') = -u'*y' + u skips degree 2.
+        assert self._check(P("y'^4 + u"), P("y'^3 + u'")) == P("(u')^4 + u^3")
+
+    def test_degree_one(self):
+        self._check(P("u*y' + y"), P("y*y' - u'"))
+        self._check(P("u*y' + y"), P("y'^3 + u"))
+        self._check(P("y'^2 + u"), P("(u + 1)*y' + y"))
+
+
 class TestDiscriminant:
     def test_parabola(self):
         assert discriminant(P("(y')^2 - 4*y"), "y") == P("-16*y")
