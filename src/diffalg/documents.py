@@ -127,8 +127,9 @@ def _build_certificate(
             index = int(index_text)
         except ValueError:
             raise DocumentError(f"bad cofactor index {index_text!r}") from None
-        if index < 0:
-            raise DocumentError(f"negative cofactor index {index}")
+        # Only the canonical decimal, so that no two keys name one index.
+        if index < 0 or str(index) != index_text:
+            raise DocumentError(f"bad cofactor index {index_text!r}")
         cofactors[index] = parse_poly(fields.pop(key), ctx)
     return ReductionCertificate(
         dividend=dividend,

@@ -5,7 +5,9 @@ differential-polynomial coefficients.  The resultant is computed by the
 subresultant polynomial remainder sequence of Collins (1967) and
 Brown–Traub (1971): repeated pseudo-remainders, each divided exactly by a
 factor the recurrence predicts, so every intermediate coefficient stays
-at the size of a subresultant.  It equals the determinant of the
+at the size of a subresultant.  The pseudo-remainders come from
+``_pseudo_divide``, which is also the step of Ritt reduction in
+``reduction.ritt_reduce``.  The resultant equals the determinant of the
 Sylvester matrix.  That determinant is kept in two independent forms,
 fraction-free (Bareiss) elimination and plain cofactor expansion, which
 the test suite compares with each other and with the resultant.
@@ -59,9 +61,7 @@ def as_leader_poly(p: DiffPoly, variable: DerivVar) -> LeaderPoly:
     """Regroup ``p`` by powers of ``variable``; ``p`` must be nonzero."""
     if p.is_zero:
         raise ZeroPolynomial("cannot regroup the zero polynomial")
-    top = p.degree_in(variable)
-    coefficients = tuple(p.coefficient_of(variable, top - i) for i in range(top + 1))
-    return LeaderPoly(variable, coefficients)
+    return LeaderPoly(variable, tuple(p.coefficients(variable)))
 
 
 def sylvester_matrix(p: LeaderPoly, q: LeaderPoly) -> list[list[DiffPoly]]:
@@ -142,25 +142,22 @@ def det_cofactor(matrix: list[list[DiffPoly]], ctx: Context) -> DiffPoly:
     return expand(0, tuple(range(n)))
 
 
-def _prem(a: list[DiffPoly], b: list[DiffPoly]) -> list[DiffPoly]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b.
-
-    Both arguments and the result are coefficient lists by descending
-    power; the result has no leading zeros and is empty when b divides.
+def _pseudo_divide(a: list[DiffPoly], b: list[DiffPoly]) -> tuple[list, list]:
+    """Pseudo-division of coefficient lists by descending power, without
+    leading zeros.  Each step multiplies the remainder by lc(b) and cancels
+    its head; a head that vanishes costs no step.  Returns the remainder
+    (empty when b divides) and the head c_t and shift p_t of each of the s
+    steps: lc(b)^s * a = sum_t c_t * lc(b)^(s-1-t) * x^(p_t) * b + remainder.
     """
     lb, r = b[0], a
-    steps = len(a) - len(b) + 1
+    heads: list[tuple[DiffPoly, int]] = []
     while len(r) >= len(b):
         lr = r[0]
+        heads.append((lr, len(r) - len(b)))
         r = [lb * r[i] - lr * b[i] for i in range(1, len(b))] + [lb * c for c in r[len(b):]]
         while r and r[0].is_zero:
             r.pop(0)
-        steps -= 1
-    # A degree that dropped by more than one skipped steps; scale them in.
-    if steps and r:
-        scale = lb ** steps
-        r = [scale * c for c in r]
-    return r
+    return r, heads
 
 
 def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
@@ -195,9 +192,14 @@ def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
         # res(a, b) = (-1)^(da*db) res(b, a), and each step swaps them.
         if da % 2 and db % 2:
             negate = not negate
-        r = _prem(a, b)
+        r, heads = _pseudo_divide(a, b)
         if not r:
             return p.ctx.zero()
+        # A degree that dropped by more than one skipped steps; scale them in.
+        skipped = delta + 1 - len(heads)
+        if skipped:
+            scale = b[0] ** skipped
+            r = [scale * c for c in r]
         divisor = g * h ** delta  # 1 on the first step
         if divisor != 1:
             r = [exact_div(c, divisor) for c in r]

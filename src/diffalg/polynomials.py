@@ -343,14 +343,15 @@ class DiffPoly:
     def degree_in(self, var: DerivVar) -> int:
         return max((m.exponent(var) for m in self._terms), default=0)
 
-    def coefficient_of(self, var: DerivVar, power: int) -> DiffPoly:
-        """Coefficient of ``var**power``, with ``var`` removed."""
-        picked = (
-            (Monomial._make({v: e for v, e in mono._exps.items() if v != var}), c)
-            for mono, c in self._terms.items()
-            if mono.exponent(var) == power
-        )
-        return DiffPoly._raw(self.ctx, _collect(picked))
+    def coefficients(self, var: DerivVar) -> list[DiffPoly]:
+        """Coefficients of the powers of ``var``, highest first, with ``var``
+        removed; the first is nonzero, and the zero polynomial has none."""
+        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        for mono, c in self._terms.items():
+            rest = mono._exps.copy()
+            by_power.setdefault(rest.pop(var, 0), {})[Monomial._make(rest)] = c
+        top = max(by_power, default=-1)
+        return [DiffPoly._raw(self.ctx, by_power.get(e, {})) for e in range(top, -1, -1)]
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         """Largest term under the canonical monomial order."""
@@ -442,6 +443,14 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return f"<DiffPoly {self}>"
+
+
+def _shift(p: DiffPoly, var: DerivVar, power: int) -> DiffPoly:
+    """``p * var**power`` for ``p`` free of ``var``, by setting exponents."""
+    if not power:
+        return p
+    terms = {Monomial._make({**m._exps, var: power}): c for m, c in p._terms.items()}
+    return DiffPoly._raw(p.ctx, terms)
 
 
 def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:

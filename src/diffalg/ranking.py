@@ -55,7 +55,7 @@ def initial(p: DiffPoly, main: str) -> DiffPoly:
     profile = rank_profile(p, main)
     if profile.is_constant:
         raise ConstantPolynomial(f"{p} is free of {main!r}")
-    return p.coefficient_of(profile.leader, profile.degree)
+    return p.coefficients(profile.leader)[0]
 
 
 def separant(p: DiffPoly, main: str) -> DiffPoly:

@@ -1,16 +1,18 @@
 """Ritt division against a single divisor, with machine-checkable certificates.
 
 The divisor A, proper in the main indeterminate with order r and degree d,
-admits two kinds of cancellation step against a working polynomial G:
+is divided into a working polynomial G one derivative level h at a time,
+from the top down, each level by one pseudo-division of G's coefficients
+in it (``elimination._pseudo_divide``):
 
-* derivative clearing: while G involves a derivative of order h > r, the
-  h-th derivative level is cleared against the (h-r)-th derivative of A,
+* derivative clearing: for h > r, against the (h-r)-th derivative of A,
   which is linear in that level with the separant of A as its coefficient;
   each step multiplies the identity through by the separant (n grows);
-* leader clearing: while G has degree >= d in the leader itself, the top
-  power is cleared against A; each step multiplies through by the initial
-  (m grows).
+* leader clearing: at h = r, against A, until G has degree < d in the
+  leader; each step multiplies through by the initial (m grows).
 
+m and n count the steps taken: a vanishing head costs no step.  The
+cofactors of earlier levels are multiplied once per level, by lc^s.
 Full mode runs both phases, leaving a remainder of strictly lower rank
 than A (or zero).  Weak mode keeps m = 0 and only guarantees that the
 remainder's order does not exceed r; when A has degree 1 its initial and
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConstantDivisor
-from .polynomials import DerivVar, DiffPoly, Monomial
+from .elimination import _pseudo_divide
+from .polynomials import DerivVar, DiffPoly, _shift
 from .ranking import Comparison, initial, rank_compare, rank_profile, separant
 
 
@@ -87,8 +89,8 @@ def ritt_reduce(
 
     The divisor must be proper in ``main``.  A zero dividend yields the
     trivial certificate; a dividend equal to the divisor yields the unit
-    cofactor at derivative index 0.  Multiplier exponents are not claimed
-    minimal.
+    cofactor at derivative index 0.  m and n are the numbers of
+    pseudo-division steps taken, which are not claimed minimal.
     """
     if dividend.ctx != divisor.ctx:
         raise ValueError("dividend and divisor declare different indeterminates")
@@ -107,7 +109,7 @@ def ritt_reduce(
             m=m,
             n=n,
             remainder=remainder,
-            cofactors={k: c for k, c in cofactors.items() if not c.is_zero},
+            cofactors=cofactors,
         )
 
     if dividend.is_zero:
@@ -115,57 +117,39 @@ def ritt_reduce(
     if dividend == divisor:
         return certificate(0, 0, ctx.zero(), {0: ctx.one()})
 
-    init = initial(divisor, main)
-    sep = separant(divisor, main)
-
     derivs = [divisor]
-
-    def divisor_deriv(k: int) -> DiffPoly:
-        while len(derivs) <= k:
-            derivs.append(derivs[-1].delta())
-        return derivs[k]
-
     work = dividend
     m = n = 0
     cofactors: dict[int, DiffPoly] = {}
-    last_measure: tuple[int, int] | None = None
-
+    # One pseudo-division per derivative level h, from the top down; the
+    # pass at h = r is the last.  Weak mode skips it unless d = 1, where
+    # initial == separant and the steps are booked on n.
     while not work.is_zero:
         h = work.order_in(main)
-        if h is None or h < r:
+        if h is None or h < r or (h == r and mode is ReductionMode.WEAK and d > 1):
             break
+        while len(derivs) <= h - r:
+            derivs.append(derivs[-1].delta())
+        # delta^k(A) for k >= 1 is linear in this level and leads with the
+        # separant; A itself leads with the initial.
         leader = DerivVar(main, h)
-        e = work.degree_in(leader)
-        measure = (h, e)
-        assert last_measure is None or measure < last_measure, "descent stalled"
-        last_measure = measure
-
-        # Pick the multiplier, the derivative index k of the divisor to
-        # cancel against, and the leader degree that multiple removes.
-        if h > r:
-            multiplier, k, drop = sep, h - r, 1
-        elif mode is ReductionMode.FULL and e >= d:
-            multiplier, k, drop = init, 0, d
-        elif mode is ReductionMode.WEAK and d == 1:
-            # Weak mode: the order bound already holds.  A degree-1 divisor
-            # has initial == separant, so the leader can still be cleared
-            # with the multiplications booked on n.
-            multiplier, k, drop = sep, 0, 1
+        b = derivs[h - r].coefficients(leader)
+        rem, heads = _pseudo_divide(work.coefficients(leader), b)
+        if heads:
+            lc, scale = b[0], b[0] ** len(heads)
+            cofactors = {j: c * scale for j, c in cofactors.items()}
+            quotient = ctx.zero()
+            for c, p in heads:
+                quotient = quotient * lc + _shift(c, leader, p)
+            cofactors[h - r] = quotient
+            top = len(rem) - 1
+            work = sum((_shift(c, leader, top - i) for i, c in enumerate(rem)), ctx.zero())
+        if h == r and mode is ReductionMode.FULL:
+            m += len(heads)
         else:
+            n += len(heads)
+        if h == r:
             break
-
-        # Multiply the running identity through, then cancel against
-        # delta^k(divisor).
-        top = work.coefficient_of(leader, e)
-        quotient = top * DiffPoly(ctx, {Monomial(((leader, e - drop),)): 1})
-        cofactors = {j: c * multiplier for j, c in cofactors.items()}
-        prev = cofactors.get(k)
-        cofactors[k] = quotient if prev is None else prev + quotient
-        work = work * multiplier - quotient * divisor_deriv(k)
-        if multiplier is init:
-            m += 1
-        else:
-            n += 1
 
     return certificate(m, n, work, cofactors)
 

@@ -82,6 +82,17 @@ class TestReduceVerify:
         assert code == 0
         assert out == "invalid: identity\n"
 
+    def test_verify_rejects_aliased_cofactor_key(self):
+        # cofactor.01 would name index 1 again and replace cofactor.1.
+        _, doc, _ = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''",
+            "--divisor", "(y')^2 - 4*y", "--main", "y", "--weak",
+        ])
+        code, out, err = run(["verify"], stdin_text=doc + "cofactor.01: u^7 + 12345\n")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: document-error:")
+        assert err.count("\n") == 1
+
     def test_random_pipes(self):
         rng = random.Random(401)
         for _ in range(10):

@@ -67,6 +67,14 @@ class TestCertificateDocuments:
             lambda lines: [l.replace("m: 0", "m: x") for l in lines],
             lambda lines: [l.replace("cofactor.1", "cofactor.one") for l in lines],
             lambda lines: [],  # empty
+            # Index texts that int() reads but that are not the canonical
+            # decimal: each would alias (and overwrite) another index.
+            lambda lines: lines + ["cofactor.01: u^7 + 12345"],
+            lambda lines: lines + ["cofactor.+1: u"],
+            lambda lines: lines + ["cofactor.1_0: u"],
+            lambda lines: lines + ["cofactor.\u0660\u0661: u"],
+            lambda lines: [l.replace("cofactor.1", "cofactor.01") for l in lines],
+            lambda lines: [l.replace("cofactor.1", "cofactor.-0") for l in lines],
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -93,6 +101,14 @@ class TestWitnessDocuments:
         text = serialize_witness(w)
         assert "a1" not in text and "certificate" not in text
         assert parse_witness(text) == w
+
+    def test_alias_cofactor_index_rejected(self):
+        w = chevalley_witness(P("y'"), P("u*y' - 1"), main="y")
+        text = serialize_witness(w)
+        assert "certificate.cofactor.0: 1" in text
+        for alias in ("00", "+0", "\u0660"):
+            with pytest.raises(DocumentError):
+                parse_witness(text + f"certificate.cofactor.{alias}: u^7\n")
 
     def test_unknown_case_rejected(self):
         w = chevalley_witness(P("u*y''"), main="y")

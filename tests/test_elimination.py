@@ -27,6 +27,7 @@ from diffalg import (
 )
 
 import _corpus
+from diffalg.elimination import _pseudo_divide
 
 CTX = Context("u", "y")
 YP = DerivVar("y", 1)
@@ -212,6 +213,45 @@ class TestResultantOracle:
         self._check(P("u*y' + y"), P("y*y' - u'"))
         self._check(P("u*y' + y"), P("y'^3 + u"))
         self._check(P("y'^2 + u"), P("(u + 1)*y' + y"))
+
+
+class TestPseudoDivision:
+    """The pseudo-division shared by ``resultant`` and ``ritt_reduce``."""
+
+    @staticmethod
+    def _check(p: DiffPoly, q: DiffPoly) -> tuple[list[DiffPoly], list]:
+        b = q.coefficients(YP)
+        rem, heads = _pseudo_divide(p.coefficients(YP), b)
+        x = CTX.var("y", 1)
+        s, lb = len(heads), b[0]
+        quotient = CTX.zero()
+        for t, (c, shift) in enumerate(heads):
+            assert not c.is_zero
+            quotient = quotient + c * lb ** (s - 1 - t) * x ** shift
+        rebuilt = CTX.zero()
+        for i, c in enumerate(rem):
+            rebuilt = rebuilt + c * x ** (len(rem) - 1 - i)
+        assert lb ** s * p == quotient * q + rebuilt
+        assert len(rem) < len(b)
+        assert not rem or not rem[0].is_zero
+        return rem, heads
+
+    def test_identity_on_random_lists(self):
+        rng = random.Random(53)
+        for _ in range(60):
+            p = _random_in_leader(rng, rng.randint(1, 4))
+            q = _random_in_leader(rng, rng.randint(1, 3))
+            self._check(p, q)
+
+    def test_vanishing_head_costs_no_step(self):
+        # y'^4 + u -> -y*y'^2 + u has no y'^3 term: two steps, not three.
+        rem, heads = self._check(P("y'^4 + u"), P("y'^2 + y"))
+        assert [shift for _, shift in heads] == [2, 0]
+        assert rem == [P("y^2 + u")]
+
+    def test_short_dividend_takes_no_step(self):
+        rem, heads = self._check(P("u*y' + 1"), P("y'^2 + y"))
+        assert heads == [] and rem == [P("u"), P("1")]
 
 
 class TestDiscriminant:

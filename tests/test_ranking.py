@@ -85,12 +85,10 @@ class TestReconstruction:
         for _ in range(100):
             A = _corpus.random_proper(rng, CTX, "y")
             profile = rank_profile(A, "y")
-            leader, d = profile.leader, profile.degree
+            leader = profile.leader
             rebuilt = CTX.zero()
-            for j in range(d + 1):
-                rebuilt = rebuilt + A.coefficient_of(leader, j) * CTX.var(
-                    "y", profile.order
-                ) ** j
+            for j, c in enumerate(reversed(A.coefficients(leader))):
+                rebuilt = rebuilt + c * CTX.var("y", profile.order) ** j
             assert rebuilt == A
 
     def test_separant_leading_shape(self):

@@ -96,6 +96,24 @@ class TestWorkedFixtures:
         assert cert.cofactors == {0: CTX.one()}
         assert verify_certificate(cert).valid
 
+    def test_vanishing_head_costs_no_multiplication(self):
+        # After one step u*(y')^4 - (y')^2*A = -y*(y')^2 has no (y')^3
+        # term, so the second step is the last: m = 2, not 3.
+        cert = ritt_reduce(P("(y')^4"), P("u*(y')^2 + y"), "y", FULL)
+        assert (cert.m, cert.n) == (2, 0)
+        assert cert.remainder == P("y^2")
+        assert cert.cofactors == {0: P("u*(y')^2 - y")}
+        assert verify_certificate(cert).valid
+
+    def test_weak_clearing_of_a_square(self):
+        # (y'')^2 against delta(A) = 2*u*y'*y'' + u'*(y')^2 + y': two
+        # separant steps clear y'' and leave an order-1 remainder.
+        cert = ritt_reduce(P("(y'')^2"), P("u*(y')^2 + y"), "y", WEAK)
+        assert (cert.m, cert.n) == (0, 2)
+        assert cert.remainder == P("(u')^2*(y')^4 + 2*u'*(y')^3 + (y')^2")
+        assert cert.cofactors == {1: P("2*u*y'*y'' - u'*(y')^2 - y'")}
+        assert verify_certificate(cert).valid
+
     def test_constant_divisor_rejected(self):
         with pytest.raises(ConstantDivisor):
             ritt_reduce(P("y"), P("u + 1"), "y", FULL)
