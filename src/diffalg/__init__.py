@@ -13,9 +13,7 @@ from .errors import (
     DomainError,
     ExponentOutOfRange,
     InputError,
-    MissingAssignment,
     ParseError,
-    RecursiveSubstitution,
     ReducesIntoIdeal,
     UnknownIndeterminate,
     VanishingResultant,
@@ -26,12 +24,10 @@ from .errors import (
 from .polynomials import Context, DerivVar, DiffPoly, Monomial, exact_div
 from .ranking import Comparison, RankProfile, initial, rank_compare, rank_profile, separant
 from .reduction import (
-    MembershipResult,
     ReductionCertificate,
     ReductionMode,
     VerificationResult,
     ritt_reduce,
-    saturation_membership,
     verify_certificate,
 )
 from .elimination import (
@@ -72,12 +68,9 @@ __all__ = [
     "ExponentOutOfRange",
     "InputError",
     "LeaderPoly",
-    "MembershipResult",
-    "MissingAssignment",
     "Monomial",
     "ParseError",
     "RankProfile",
-    "RecursiveSubstitution",
     "ReducesIntoIdeal",
     "ReductionCertificate",
     "ReductionMode",
@@ -105,7 +98,6 @@ __all__ = [
     "render_var",
     "resultant",
     "ritt_reduce",
-    "saturation_membership",
     "select_coefficient",
     "separant",
     "serialize_certificate",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on input or syntax errors, 2 on violated
 mathematical preconditions.  Diagnostics go to stderr as a single
-``error: <kind>: <detail>`` line; output is written only on success.
+``error: <kind>: <detail>`` line, the detail clipped to 200 characters;
+output is written only on success.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .elimination import as_leader_poly, discriminant, resultant
 from .errors import DiffAlgError, DomainError, InputError, ParseError
 from .polynomials import Context, DerivVar, DiffPoly
 from .ranking import initial, rank_profile, separant
-from .reduction import ReductionMode, ritt_reduce, saturation_membership, verify_certificate
+from .reduction import ReductionMode, ritt_reduce, verify_certificate
 from .syntax import format_poly, parse_poly, render_var
 from .witness import chevalley_witness, degree_bound
 
@@ -81,6 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 # argparse parsers keep no state between parse_args calls, so one serves
 # every run(); building it costs more than a small command.
 _PARSER = _build_parser()
+
+_DETAIL_MAX = 200
 
 
 def _context(args) -> Context:
@@ -152,11 +155,13 @@ def _dispatch(args, stdin_text: str) -> str:
         )
 
     if args.command == "membership":
-        verdict = saturation_membership(
-            parse_poly(args.dividend, ctx), parse_poly(args.divisor, ctx), main
-        )
-        line = "reduces-to-zero" if verdict.reduces_to_zero else "remainder"
-        return f"result: {line}\n" + serialize_certificate(verdict.certificate)
+        # A zero remainder proves membership in the divisor's saturated
+        # differential ideal.  A nonzero one proves non-membership only when
+        # the divisor is irreducible over the fraction field of the
+        # coefficient ring; the caller asserts that, nothing here tests it.
+        cert = ritt_reduce(parse_poly(args.dividend, ctx), parse_poly(args.divisor, ctx), main)
+        line = "reduces-to-zero" if cert.remainder.is_zero else "remainder"
+        return f"result: {line}\n" + serialize_certificate(cert)
 
     if args.command == "degree-bound":
         bound = degree_bound(parse_poly(args.poly, ctx), main)
@@ -180,12 +185,13 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
         return 0, out.getvalue(), err.getvalue()
     except SystemExit:  # argparse --help; _Parser.error raises instead
         return 0, out.getvalue(), err.getvalue()
-    except InputError as exc:
-        err.write(f"error: {exc.slug}: {exc}\n")
-        return 1, out.getvalue(), err.getvalue()
-    except DomainError as exc:
-        err.write(f"error: {exc.slug}: {exc}\n")
-        return 2, out.getvalue(), err.getvalue()
+    except (InputError, DomainError) as exc:
+        # Messages may echo input text; the line stays short whatever it is.
+        detail = str(exc)
+        if len(detail) > _DETAIL_MAX:
+            detail = detail[:_DETAIL_MAX] + "..."
+        err.write(f"error: {exc.slug}: {detail}\n")
+        return (2 if isinstance(exc, DomainError) else 1), out.getvalue(), err.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -87,15 +87,16 @@ def _pop(fields: dict[str, str], key: str) -> str:
         raise DocumentError(f"missing key {key!r}") from None
 
 
-def _pop_int(fields: dict[str, str], key: str) -> int:
-    value = _pop(fields, key)
+def _nat(key: str, text: str) -> int:
+    """The non-negative integer ``text`` names, in canonical decimal only,
+    so that no two texts name one value (``01``, ``+1``, ``1_0`` do not)."""
     try:
-        result = int(value)
-    except ValueError:
-        raise DocumentError(f"key {key!r}: expected an integer, got {value!r}") from None
-    if result < 0:
-        raise DocumentError(f"key {key!r}: expected a non-negative integer")
-    return result
+        value = int(text)
+    except ValueError:  # not an integer, or more digits than int() converts
+        value = -1
+    if value < 0 or str(value) != text:
+        raise DocumentError(f"key {key!r}: expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _pop_context(fields: dict[str, str]) -> Context:
@@ -114,23 +115,21 @@ def _build_certificate(
         mode = ReductionMode(mode_text)
     except ValueError:
         raise DocumentError(f"unknown mode {mode_text!r}") from None
-    m = _pop_int(fields, f"{prefix}m")
-    n = _pop_int(fields, f"{prefix}n")
+    m = _nat(f"{prefix}m", _pop(fields, f"{prefix}m"))
+    n = _nat(f"{prefix}n", _pop(fields, f"{prefix}n"))
     dividend = parse_poly(_pop(fields, f"{prefix}F"), ctx)
     divisor = parse_poly(_pop(fields, f"{prefix}A"), ctx)
     remainder = parse_poly(_pop(fields, f"{prefix}G"), ctx)
     cofactors: dict[int, DiffPoly] = {}
     marker = f"{prefix}cofactor."
     for key in sorted(k for k in fields if k.startswith(marker)):
-        index_text = key[len(marker):]
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise DocumentError(f"bad cofactor index {index_text!r}") from None
-        # Only the canonical decimal, so that no two keys name one index.
-        if index < 0 or str(index) != index_text:
-            raise DocumentError(f"bad cofactor index {index_text!r}")
-        cofactors[index] = parse_poly(fields.pop(key), ctx)
+        index = _nat(key, key[len(marker):])
+        cofactor = parse_poly(fields.pop(key), ctx)
+        # Only nonzero cofactors are written; a zero one at a huge index
+        # would still cost delta^index of the divisor to verify.
+        if cofactor.is_zero:
+            raise DocumentError(f"key {key!r}: zero cofactor")
+        cofactors[index] = cofactor
     return ReductionCertificate(
         dividend=dividend,
         divisor=divisor,
@@ -172,7 +171,7 @@ def parse_witness(text: str) -> ChevalleyWitness:
         a2 = parse_poly(_pop(fields, "a2"), ctx)
         a3 = parse_poly(_pop(fields, "a3"), ctx)
         b1 = parse_poly(_pop(fields, "B1"), ctx)
-        n = _pop_int(fields, "n")
+        n = _nat("n", _pop(fields, "n"))
         cert = _build_certificate(fields, ctx, main, prefix="certificate.")
         witness = ChevalleyWitness(
             case=case, main=main, a=a, a1=a1, a2=a2, a3=a3, b1=b1, n=n,

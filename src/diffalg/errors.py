@@ -75,18 +75,6 @@ class ZeroArgument(DomainError):
     """A resultant argument is zero."""
 
 
-class MissingAssignment(DomainError):
-    """Evaluation point does not cover a variable of the polynomial."""
-
-    def __init__(self, var):
-        self.var = var
-        super().__init__(f"no value assigned to {var.name}^({var.order})")
-
-
-class RecursiveSubstitution(DomainError):
-    """Substitution image mentions the substituted indeterminate."""
-
-
 class ZeroTarget(DomainError):
     """The witness target polynomial is zero."""
 

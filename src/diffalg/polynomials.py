@@ -19,11 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
-from .errors import (
-    MissingAssignment,
-    RecursiveSubstitution,
-    UnknownIndeterminate,
-)
+from .errors import UnknownIndeterminate
 
 Scalar = Union[int, Fraction]
 
@@ -64,9 +60,6 @@ class Context:
             return self._index[name]
         except KeyError:
             raise UnknownIndeterminate(name) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Context) and self.names == other.names
@@ -219,14 +212,9 @@ class DiffPoly:
 
     __slots__ = ("ctx", "_terms")
 
-    def __init__(
-        self,
-        ctx: Context,
-        terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = (),
-    ):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
         self.ctx = ctx
-        self._terms = _collect((mono, Fraction(c)) for mono, c in items)
+        self._terms = _collect((mono, Fraction(c)) for mono, c in terms.items())
 
     @classmethod
     def _raw(cls, ctx: Context, terms: dict[Monomial, Fraction]) -> DiffPoly:
@@ -353,13 +341,6 @@ class DiffPoly:
         top = max(by_power, default=-1)
         return [DiffPoly._raw(self.ctx, by_power.get(e, {})) for e in range(top, -1, -1)]
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        """Largest term under the canonical monomial order."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self._terms, key=lambda m: monomial_key(m, self.ctx))
-        return mono, self._terms[mono]
-
     # ------------------------------------------------------------------
     # Calculus
 
@@ -396,43 +377,24 @@ class DiffPoly:
                 bumped[up] = bumped.get(up, 0) + 1
                 yield Monomial._make(bumped), c * exp
 
-    def evaluate(self, assignment: Mapping[DerivVar, Scalar]) -> Fraction:
-        """Exact value under a point assignment covering all variables."""
-        total = _ZERO
+    def specialize(self, values: Mapping[DerivVar, DiffPoly | Scalar]) -> DiffPoly:
+        """Replace every listed derivative variable by its value, all at once;
+        unlisted variables stay.
+
+        Listing every variable evaluates: the result is a constant, which
+        compares equal to its scalar value.  A differential substitution
+        y -> f is the jet ``{DerivVar("y", k): f.delta(k)}`` over the orders
+        of y present.
+        """
+        terms: list[tuple[Monomial, Fraction]] = []
         for mono, c in self._terms.items():
-            value = c
+            kept = {v: e for v, e in mono._exps.items() if v not in values}
+            piece = DiffPoly._raw(self.ctx, {Monomial._make(kept): c})
             for var, exp in mono._exps.items():
-                if var not in assignment:
-                    raise MissingAssignment(var)
-                value *= Fraction(assignment[var]) ** exp
-            total += value
-        return total
-
-    def substitute(self, target: str, image: DiffPoly) -> DiffPoly:
-        """Differential substitution: each k-th derivative of ``target`` is
-        replaced by the k-th derivative of ``image``."""
-        self.ctx.index(target)
-        if image.ctx != self.ctx:
-            raise ValueError("image declares different indeterminates")
-        if image.order_in(target) is not None:
-            raise RecursiveSubstitution(
-                f"image of {target!r} mentions {target!r}"
-            )
-        derivs: list[DiffPoly] = [image]
-
-        def image_deriv(k: int) -> DiffPoly:
-            while len(derivs) <= k:
-                derivs.append(derivs[-1].delta())
-            return derivs[k]
-
-        result = DiffPoly._raw(self.ctx, {})
-        for mono, c in self._terms.items():
-            mine, rest = mono.split(target)
-            piece = DiffPoly(self.ctx, {rest: c})
-            for var, exp in mine._exps.items():
-                piece = piece * image_deriv(var.order) ** exp
-            result = result + piece
-        return result
+                if var in values:
+                    piece = piece * values[var] ** exp
+            terms.extend(piece._terms.items())
+        return DiffPoly._raw(self.ctx, _collect(terms))
 
     # ------------------------------------------------------------------
 
@@ -471,7 +433,8 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
     if p.is_zero:
         return p
     ctx = p.ctx
-    lt_q_mono, lt_q_coeff = q.leading_term()
+    lt_q_mono = max(q._terms, key=lambda m: monomial_key(m, ctx))
+    lt_q_coeff = q._terms[lt_q_mono]
     q_tail = [(m, c) for m, c in q._terms.items() if m is not lt_q_mono]
 
     def inverted_key(mono: Monomial):

@@ -73,12 +73,6 @@ class VerificationResult:
         return self.valid
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    reduces_to_zero: bool
-    certificate: ReductionCertificate
-
-
 def ritt_reduce(
     dividend: DiffPoly,
     divisor: DiffPoly,
@@ -189,19 +183,3 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
             if rank_compare(remainder, divisor, main) is not Comparison.LESS:
                 return VerificationResult(False, "rank")
     return VerificationResult(True)
-
-
-def saturation_membership(
-    dividend: DiffPoly, divisor: DiffPoly, main: str
-) -> MembershipResult:
-    """Full reduction with the remainder read as a membership verdict.
-
-    A zero remainder witnesses membership of the dividend in the divisor's
-    saturated differential ideal.  The converse reading (nonzero remainder
-    means non-membership) additionally requires the divisor to be
-    irreducible over the fraction field of the coefficient ring, which is
-    the caller's responsibility to assert; no irreducibility test is
-    attempted here.
-    """
-    cert = ritt_reduce(dividend, divisor, main, ReductionMode.FULL)
-    return MembershipResult(cert.remainder.is_zero, cert)

@@ -99,7 +99,10 @@ class _Parser:
         tok = self.take()
         if tok.kind != "number":
             raise ParseError(tok.pos, what, tok.text or "end of input")
-        value = int(tok.text)
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than int() converts: out of range
+            value = _WORD_MAX + 1
         if value > _WORD_MAX:
             raise ExponentOutOfRange(f"{what} {tok.text} at position {tok.pos}")
         return value

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 from diffalg.cli import run
 
@@ -238,6 +239,58 @@ class TestExitCodes:
             (["verify"], deep),
         ]:
             assert_one_parse_error(argv, stdin_text)
+
+    def test_number_past_int_digit_limit_is_out_of_range(self):
+        # int() refuses more than 4300 digits by default.
+        digits = "9" * 5000
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        for argv, stdin_text in [
+            (["parse", "--vars", "y", f"y^{digits}"], ""),
+            (["parse", "--vars", "y", digits], ""),
+            (["parse", "--vars", "y", f"y^({digits})"], ""),
+            (["verify"], certificate.replace("F: y''", f"F: y^{digits}")),
+        ]:
+            code, out, err = run(argv, stdin_text)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: exponent-out-of-range:")
+            assert err.count("\n") == 1
+
+    def test_error_line_is_bounded(self):
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        for argv, stdin_text in [
+            (["verify"], certificate + "cofactor." + "1" * 5000 + ": u\n"),
+            (["parse", "--vars", "y", "y^" + "9" * 5000], ""),
+        ]:
+            code, out, err = run(argv, stdin_text)
+            assert (code, out) == (1, "")
+            assert err.endswith("\n") and err.count("\n") == 1
+            assert len(err) <= 300
+
+    def test_verify_rejects_zero_cofactor_quickly(self):
+        # Verifying would expand delta^(10^8) of the divisor.
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        start = time.perf_counter()
+        code, out, err = run(["verify"], certificate + "cofactor.100000000: 0\n")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith("error: document-error:") and err.count("\n") == 1
+
+    def test_verify_rejects_aliased_integers(self):
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+            "--weak",
+        ])[1]
+        assert "\nm: 0\n" in certificate
+        for alias in ("+0", "0_0", "\u0660", " 00"):
+            code, out, err = run(["verify"], certificate.replace("\nm: 0\n", f"\nm: {alias}\n"))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: document-error:") and err.count("\n") == 1
 
     def test_undeclared_indeterminate_is_exit_one(self):
         code, _, err = run(["parse", "--vars", "u,y", "w"])

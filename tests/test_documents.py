@@ -75,6 +75,15 @@ class TestCertificateDocuments:
             lambda lines: lines + ["cofactor.\u0660\u0661: u"],
             lambda lines: [l.replace("cofactor.1", "cofactor.01") for l in lines],
             lambda lines: [l.replace("cofactor.1", "cofactor.-0") for l in lines],
+            # The same rule for m and n.
+            lambda lines: [l.replace("m: 0", "m: +0") for l in lines],
+            lambda lines: [l.replace("m: 0", "m: 0_0") for l in lines],
+            lambda lines: [l.replace("m: 0", "m: \u0660") for l in lines],
+            lambda lines: [l.replace("m: 0", "m:  00") for l in lines],
+            lambda lines: [l.replace("n: 1", "n: 01") for l in lines],
+            # Zero cofactors are never written.
+            lambda lines: [l.replace("cofactor.1: 1", "cofactor.1: 0") for l in lines],
+            lambda lines: lines + ["cofactor.100000000: 0"],
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -109,6 +118,24 @@ class TestWitnessDocuments:
         for alias in ("00", "+0", "\u0660"):
             with pytest.raises(DocumentError):
                 parse_witness(text + f"certificate.cofactor.{alias}: u^7\n")
+
+    @pytest.mark.parametrize(
+        "line, alias",
+        [
+            ("n: 1", "n: +1"),
+            ("n: 1", "n: 01"),
+            ("certificate.m: 0", "certificate.m: 0_0"),
+            ("certificate.n: 1", "certificate.n: \u0661"),
+            ("certificate.cofactor.0: 1", "certificate.cofactor.0: 0"),
+            ("certificate.cofactor.0: 1", "certificate.cofactor.100000000: 0"),
+        ],
+    )
+    def test_alias_integer_or_zero_cofactor_rejected(self, line, alias):
+        w = chevalley_witness(P("y'"), P("u*y' - 1"), main="y")
+        text = serialize_witness(w)
+        assert f"\n{line}\n" in text
+        with pytest.raises(DocumentError):
+            parse_witness(text.replace(f"\n{line}\n", f"\n{alias}\n"))
 
     def test_unknown_case_rejected(self):
         w = chevalley_witness(P("u*y''"), main="y")

@@ -150,18 +150,63 @@ class TestWitnessCorpus:
                 assert h is None or h < profile.order
 
 
+def _jet(image: DiffPoly, top: int = 8) -> dict[DerivVar, DiffPoly]:
+    """Differential substitution y -> image, for orders of y up to ``top``."""
+    return {DerivVar("y", k): image.delta(k) for k in range(top + 1)}
+
+
+class TestTheoremOrderZero:
+    def test_specialization_keeps_a_zero_where_target_survives(self):
+        # The paper's promise at order 0: at a rational point of the
+        # coefficients where a != 0, A_pt keeps its degree and is
+        # squarefree, and res(B1_pt, A_pt) != 0, so some zero of A_pt is
+        # not a zero of B1_pt.  With B of order 0 and A of degree >= 2,
+        # B1 = B, so B_pt itself is nonzero at some zero of A_pt.
+        rng = random.Random(239)
+        y = DerivVar("y", 0)
+        witnesses = unchanged = 0
+        while witnesses < 100:
+            A = _corpus.random_irreducible(rng, CTX, "y")
+            if rank_profile(A, "y").order:
+                continue
+            B = _corpus.random_nonzero(rng, CTX, max_order=rng.choice([0, 3]))
+            try:
+                w = chevalley_witness(B, A, main="y")
+            except (ReducesIntoIdeal, VanishingResultant):
+                continue
+            witnesses += 1
+            if B.order_in("y") in (None, 0) and A.degree_in(y) >= 2:
+                assert w.b1 == B
+                unchanged += 1
+            coefficients = (A.variables() | w.b1.variables()) - {y}
+            assert all(v.name == "u" for v in coefficients)
+            points = 0
+            while points < 3:
+                pt = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in coefficients}
+                if w.a.specialize(pt) == 0:
+                    continue
+                points += 1
+                A_pt, B1_pt = A.specialize(pt), w.b1.specialize(pt)
+                assert A_pt.degree_in(y) == A.degree_in(y)
+                assert discriminant(A_pt, "y") != 0
+                assert not B1_pt.is_zero
+                assert resultant(as_leader_poly(B1_pt, y), as_leader_poly(A_pt, y)) != 0
+        assert unchanged >= 10
+
+
 class TestSolutionSubstitution:
     def test_cofactors_annihilate_on_a_symbolic_solution(self):
         # y -> u^2 solves (y')^2 - 4y(u')^2 identically, so substituting it
         # into the weak identity kills every cofactor term and leaves
         # B1(x) = separant(x)^n * B(x).
         A = P("(y')^2 - 4*y*(u')^2")
-        assert A.substitute("y", P("u^2")).is_zero
+        x = _jet(P("u^2"))
+        assert A.specialize(x).is_zero
         for B in (P("y''"), P("y"), P("y''*y + u")):
             w = chevalley_witness(B, A, main="y")
-            sep = separant(A, "y").substitute("y", P("u^2"))
-            lhs = w.b1.substitute("y", P("u^2"))
-            rhs = sep ** w.n * B.substitute("y", P("u^2"))
+            sep = separant(A, "y").specialize(x)
+            lhs = w.b1.specialize(x)
+            rhs = sep ** w.n * B.specialize(x)
             assert lhs == rhs
 
     def test_cofactors_annihilate_along_numeric_chain(self):
@@ -169,24 +214,17 @@ class TestSolutionSubstitution:
         # derivative of the substituted divisor, giving the same conclusion
         # pointwise.
         A = P("(y')^2 - 4*y")
-        x = P("u^2")
-        assert not A.substitute("y", x).is_zero  # not a symbolic solution
+        x = _jet(P("u^2"))
+        assert not A.specialize(x).is_zero  # not a symbolic solution
+        chain = {DerivVar("u", 0): Fraction(7, 2), DerivVar("u", 1): Fraction(1)}
+        chain.update({DerivVar("u", k): Fraction(0) for k in range(2, 11)})
+        assert A.specialize(x).specialize(chain) == 0
         for B in (P("y''"), P("y'*y + u")):
             w = chevalley_witness(B, A, main="y")
-            sep_x = separant(A, "y").substitute("y", x)
-            lhs = w.b1.substitute("y", x)
-            rhs = sep_x ** w.n * B.substitute("y", x)
-            chain = {DerivVar("u", 0): Fraction(7, 2), DerivVar("u", 1): Fraction(1)}
-            chain.update({DerivVar("u", k): Fraction(0) for k in range(2, 9)})
-            assert A.substitute("y", x).evaluate(
-                {v: chain[v] for v in A.substitute("y", x).variables()}
-            ) == 0
-            needed = lhs.variables() | rhs.variables()
-            assert lhs.evaluate({v: chain[v] for v in needed if v in chain} | {
-                v: Fraction(0) for v in needed if v not in chain
-            }) == rhs.evaluate({v: chain[v] for v in needed if v in chain} | {
-                v: Fraction(0) for v in needed if v not in chain
-            })
+            sep_x = separant(A, "y").specialize(x)
+            lhs = w.b1.specialize(x)
+            rhs = sep_x ** w.n * B.specialize(x)
+            assert lhs.specialize(chain) == rhs.specialize(chain)
 
 
 class TestDegreeBound:
