@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -24,7 +25,6 @@ from .errors import UnknownIndeterminate
 Scalar = Union[int, Fraction]
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
-_ZERO = Fraction(0)
 
 
 class DerivVar(NamedTuple):
@@ -191,15 +191,21 @@ def monomial_key(mono: Monomial, ctx: Context):
 
 
 def _collect(terms: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
-    """Sum the coefficients of equal monomials; zero sums are dropped."""
+    """Sum the coefficients of equal monomials; zero sums are dropped.
+    Every sum of term maps goes through here."""
     acc: dict[Monomial, Fraction] = {}
     for mono, c in terms:
-        s = acc.get(mono, _ZERO) + c
+        s = acc[mono] + c if mono in acc else c
         if s:
             acc[mono] = s
         else:
             acc.pop(mono, None)
     return acc
+
+
+def _sum(ctx: Context, polys: Iterable[DiffPoly]) -> DiffPoly:
+    """The sum of ``polys``, their terms collected in one pass."""
+    return DiffPoly._raw(ctx, _collect(chain.from_iterable(p._terms.items() for p in polys)))
 
 
 class DiffPoly:
@@ -248,14 +254,7 @@ class DiffPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, c in q._terms.items():
-            s = acc.get(mono, _ZERO) + c
-            if s:
-                acc[mono] = s
-            else:
-                acc.pop(mono, None)
-        return DiffPoly._raw(self.ctx, acc)
+        return _sum(self.ctx, (self, q))
 
     __radd__ = __add__
 
@@ -386,15 +385,15 @@ class DiffPoly:
         y -> f is the jet ``{DerivVar("y", k): f.delta(k)}`` over the orders
         of y present.
         """
-        terms: list[tuple[Monomial, Fraction]] = []
+        pieces = []
         for mono, c in self._terms.items():
             kept = {v: e for v, e in mono._exps.items() if v not in values}
             piece = DiffPoly._raw(self.ctx, {Monomial._make(kept): c})
             for var, exp in mono._exps.items():
                 if var in values:
                     piece = piece * values[var] ** exp
-            terms.extend(piece._terms.items())
-        return DiffPoly._raw(self.ctx, _collect(terms))
+            pieces.append(piece)
+        return _sum(self.ctx, pieces)
 
     # ------------------------------------------------------------------
 
@@ -476,4 +475,4 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
                 rem[mm] = -coeff * c2
                 counter += 1
                 heapq.heappush(heap, (inverted_key(mm), counter, mm))
-    return DiffPoly(ctx, quotient)
+    return DiffPoly._raw(ctx, quotient)

@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import ConstantDivisor
 from .elimination import _pseudo_divide
-from .polynomials import DerivVar, DiffPoly, _shift
+from .polynomials import DerivVar, DiffPoly, _shift, _sum
 from .ranking import Comparison, initial, rank_compare, rank_profile, separant
 
 
@@ -137,7 +137,7 @@ def ritt_reduce(
                 quotient = quotient * lc + _shift(c, leader, p)
             cofactors[h - r] = quotient
             top = len(rem) - 1
-            work = sum((_shift(c, leader, top - i) for i, c in enumerate(rem)), ctx.zero())
+            work = _sum(ctx, (_shift(c, leader, top - i) for i, c in enumerate(rem)))
         if h == r and mode is ReductionMode.FULL:
             m += len(heads)
         else:
@@ -156,7 +156,10 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     profile = rank_profile(divisor, main) if not divisor.is_zero else None
     if profile is None or profile.is_constant:
         return VerificationResult(False, "divisor")
-    if cert.m < 0 or cert.n < 0 or any(k < 0 for k in cert.cofactors):
+    # Reduction never books an index above ord(F) - r; refuse one before delta^k.
+    top = cert.dividend.order_in(main)
+    bound = -1 if top is None else top - profile.order
+    if cert.m < 0 or cert.n < 0 or any(not 0 <= k <= bound for k in cert.cofactors):
         return VerificationResult(False, "shape")
 
     lhs = (

@@ -1,6 +1,11 @@
 """Surface syntax: parse text to polynomials, print polynomials canonically.
 
-Grammar (one-token lookahead, whitespace insignificant between tokens):
+Tokens are numbers (runs of Unicode decimal digits, ``str.isdecimal``),
+identifiers and the operators ``' ^ ( ) * + - /``, separated by optional
+Unicode whitespace (``str.isspace``).  Any other character is a parse error,
+reported before grammar errors: the whole text is tokenized first.
+
+Grammar (one-token lookahead):
 
     expr     := '-'? term (('+' | '-') term)*
     term     := factor ('*' factor)*
@@ -20,53 +25,31 @@ polynomial prints as "0".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
-from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, monomial_key
+from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, _sum, monomial_key
 
 _WORD_MAX = 2**63 - 1
 # Each open parenthesis costs four parser frames; this keeps deep input
 # far from the interpreter's recursion limit.
 _MAX_NESTING = 100
 
+# One alternative per token kind, in priority order; whitespace matches none.
+# Identifiers are exactly the names a Context can declare.
+_TOKEN_RE = re.compile(
+    rf"(?P<number>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>['^()*+\-/])|(?P<bad>\S)"
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | ident | op
-    text: str
-    pos: int
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        # Identifiers are exactly the names a Context can declare.
-        ident = _IDENT_RE.match(text, i)
-        if ident:
-            tokens.append(_Token("ident", ident.group(), i))
-            i = ident.end()
-            continue
-        if ch in "'^()*+-/":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(i, "a token", repr(ch))
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of every token, then an ``end`` token."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, tok, pos in tokens:
+        if kind == "bad":
+            raise ParseError(pos, "a token", repr(tok))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -77,115 +60,108 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self) -> _Token:
+    def take(self, symbol: str | None = None) -> tuple[str, str, int]:
+        """Consume the next token, which must be ``symbol`` when given."""
         tok = self.tokens[self.pos]
+        if symbol is not None and tok[1] != symbol:
+            raise ParseError(tok[2], repr(symbol), tok[1] or "end of input")
         self.pos += 1
         return tok
 
-    def expect_op(self, symbol: str) -> _Token:
-        tok = self.take()
-        if tok.kind != "op" or tok.text != symbol:
-            raise ParseError(tok.pos, repr(symbol), tok.text or "end of input")
-        return tok
-
-    def at_op(self, symbol: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == symbol
+    def at(self, symbol: str) -> bool:
+        # Only operator tokens spell an operator, and ``end`` spells "".
+        return self.tokens[self.pos][1] == symbol
 
     def parse_nat(self, what: str) -> int:
-        tok = self.take()
-        if tok.kind != "number":
-            raise ParseError(tok.pos, what, tok.text or "end of input")
-        try:
-            value = int(tok.text)
-        except ValueError:  # more digits than int() converts: out of range
-            value = _WORD_MAX + 1
+        kind, text, pos = self.take()
+        if kind != "number":
+            raise ParseError(pos, what, text or "end of input")
+        # Range is judged on the significant digits, so int() never sees
+        # more than a machine word's 19 of them.  Leading zeros may be
+        # written in any script.
+        digits = text
+        if len(digits) > 19:
+            digits = digits.lstrip("".join(d for d in set(digits) if int(d) == 0)) or "0"
+        value = int(digits) if len(digits) <= 19 else _WORD_MAX + 1
         if value > _WORD_MAX:
-            raise ExponentOutOfRange(f"{what} {tok.text} at position {tok.pos}")
+            raise ExponentOutOfRange(f"{what} {text} at position {pos}")
         return value
 
     def parse_expr(self) -> DiffPoly:
-        negate = False
-        if self.at_op("-"):
-            self.take()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while self.at_op("+") or self.at_op("-"):
-            op = self.take().text
+        # The signed terms are summed once, at the end.
+        terms = []
+        sign = self.take()[1] if self.at("-") else "+"
+        while True:
             term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
+            terms.append(-term if sign == "-" else term)
+            if not (self.at("+") or self.at("-")):
+                return _sum(self.ctx, terms)
+            sign = self.take()[1]
 
     def parse_term(self) -> DiffPoly:
         result = self.parse_factor()
-        while self.at_op("*"):
-            self.take()
+        while self.at("*"):
+            self.pos += 1
             result = result * self.parse_factor()
         return result
 
     def parse_factor(self) -> DiffPoly:
         base = self.parse_base()
-        if self.at_op("^"):
+        if self.at("^"):
             caret = self.take()
-            if self.at_op("("):
-                raise ParseError(caret.pos + 1, "an exponent", "'('")
+            if self.at("("):
+                raise ParseError(caret[2] + 1, "an exponent", "'('")
             return base ** self.parse_nat("an exponent")
         return base
 
     def parse_base(self) -> DiffPoly:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind, text, pos = self.tokens[self.pos]
+        if kind == "number":
             return self.parse_rational()
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.parse_derivvar()
-        if tok.kind == "op" and tok.text == "(":
+        if text == "(":
             if self.depth == _MAX_NESTING:
-                raise ParseError(tok.pos, f"at most {_MAX_NESTING} nested parentheses", "'('")
-            self.take()
+                raise ParseError(pos, f"at most {_MAX_NESTING} nested parentheses", "'('")
+            self.pos += 1
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            self.expect_op(")")
+            self.take(")")
             return inner
-        raise ParseError(tok.pos, "a number, variable or '('", tok.text or "end of input")
+        raise ParseError(pos, "a number, variable or '('", text or "end of input")
 
     def parse_rational(self) -> DiffPoly:
         numerator = self.parse_nat("an integer")
-        if self.at_op("/"):
+        if self.at("/"):
             slash = self.take()
             denominator = self.parse_nat("a denominator")
             if denominator == 0:
-                raise ParseError(slash.pos + 1, "a positive denominator", "0")
+                raise ParseError(slash[2] + 1, "a positive denominator", "0")
             return self.ctx.constant(Fraction(numerator, denominator))
         return self.ctx.constant(numerator)
 
     def parse_derivvar(self) -> DiffPoly:
-        tok = self.take()
-        self.ctx.index(tok.text)  # UnknownIndeterminate for undeclared names
+        name = self.take()[1]
+        self.ctx.index(name)  # UnknownIndeterminate for undeclared names
         order = 0
-        while self.at_op("'"):
-            self.take()
+        while self.at("'"):
+            self.pos += 1
             order += 1
-        if order == 0 and self.at_op("^") and self.peek(1).text == "(":
-            self.take()  # ^
-            self.take()  # (
+        if order == 0 and self.at("^") and self.tokens[self.pos + 1][1] == "(":
+            self.pos += 2
             order = self.parse_nat("a derivative order")
-            self.expect_op(")")
-        return self.ctx.var(tok.text, order)
+            self.take(")")
+        return self.ctx.var(name, order)
 
 
 def parse_poly(text: str, ctx: Context) -> DiffPoly:
     """Parse surface syntax into a differential polynomial."""
     parser = _Parser(text, ctx)
     result = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(trailing.pos, "end of input", trailing.text)
+    kind, trailing, pos = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ParseError(pos, "end of input", trailing)
     return result
 
 

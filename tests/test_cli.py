@@ -281,6 +281,34 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: document-error:") and err.count("\n") == 1
 
+    def test_verify_rejects_huge_cofactor_index_quickly(self):
+        # Verifying would expand delta^(10^8) of the divisor; the index is
+        # above the dividend's order, which no reduction produces.
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",
+        ])[1]
+        start = time.perf_counter()
+        result = run(["verify"], certificate + "cofactor.100000000: 1\n")
+        assert time.perf_counter() - start < 1
+        assert result == (0, "invalid: shape\n", "")
+
+    def test_leading_zeros_are_not_significant(self):
+        zeros = "0" * 5000
+        start = time.perf_counter()
+        for expr, printed in [
+            (f"y^{zeros}", "1"),
+            (f"y^{zeros}7", "y^7"),
+            (f"y^({zeros}3)", "y'''"),
+            (f"{zeros}12*y", "12*y"),
+            ("y^" + "٠" * 5000 + "7", "y^7"),
+        ]:
+            assert run(["parse", "--vars", "y", expr]) == (0, printed + "\n", "")
+        for expr in (f"y^{zeros}{2**63}", f"y^{zeros}" + "1" * 20):
+            code, out, err = run(["parse", "--vars", "y", expr])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: exponent-out-of-range:") and err.count("\n") == 1
+        assert time.perf_counter() - start < 1
+
     def test_verify_rejects_aliased_integers(self):
         certificate = run([
             "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",

@@ -109,6 +109,12 @@ class TestRingOps:
         assert P("y - y").is_zero
         assert DiffPoly(CTX, {Monomial.UNIT: Fraction(0)}).is_zero
 
+    def test_zero_coefficients_never_stored(self):
+        square = Monomial(((DerivVar("y", 1), 2),))
+        assert DiffPoly(CTX, {square: 0}).is_zero
+        assert DiffPoly(CTX, {square: 0, Monomial.UNIT: 3}).terms == {Monomial.UNIT: 3}
+        assert (P("y") + P("u") - P("y")).terms == P("u").terms
+
 
 class TestDelta:
     def test_derivative_of_indeterminate(self):

@@ -14,6 +14,7 @@ from diffalg import (
     Context,
     DiffPoly,
     ReductionMode,
+    VerificationResult,
     ZeroPolynomial,
     initial,
     parse_poly,
@@ -162,6 +163,23 @@ class TestVerifier:
         result = verify_certificate(fake)
         assert not result.valid and result.reason == "rank"
 
+    def test_cofactor_index_above_dividend_order_is_shape(self):
+        # delta^k(A) has order r + k; reduction never goes above ord F.
+        A = P("y' - u")
+        cert = ritt_reduce(P("y''"), A, "y", FULL)
+        assert verify_certificate(cert).valid and set(cert.cofactors) == {1}
+        beyond = dataclasses.replace(cert, cofactors={**cert.cofactors, 2: P("u")})
+        assert verify_certificate(beyond) == VerificationResult(False, "shape")
+
+    def test_no_cofactor_for_a_main_free_dividend(self):
+        # 0 = -A + 1 * A holds, but no reduction of 0 or of u books a cofactor.
+        A = P("y' - u")
+        for F in (CTX.zero(), P("u")):
+            fake = dataclasses.replace(
+                ritt_reduce(F, A, "y", FULL), remainder=F - A, cofactors={0: CTX.one()}
+            )
+            assert verify_certificate(fake) == VerificationResult(False, "shape")
+
 
 class TestSaturationMembership:
     """Full reduction read as a membership verdict, as CLI ``membership`` does."""
@@ -236,6 +254,14 @@ class TestRandomCorpus:
             assert again.remainder == remainder
             assert (again.m, again.n) == (0, 0)
             assert again.cofactors == {}
+
+    def test_cofactor_indices_within_dividend_order(self):
+        for F, A in self._pairs(150, seed=131):
+            r = rank_profile(A, "y").order
+            top = F.order_in("y")
+            for mode in (FULL, WEAK):
+                cert = ritt_reduce(F, A, "y", mode)
+                assert all(r + k <= top for k in cert.cofactors), (F, A, mode)
 
     def test_no_zero_cofactors_stored(self):
         for F, A in self._pairs(80, seed=127):

@@ -10,6 +10,7 @@ from hypothesis import given
 from diffalg import (
     Context,
     DerivVar,
+    DiffAlgError,
     DiffPoly,
     ExponentOutOfRange,
     Monomial,
@@ -71,6 +72,23 @@ class TestParse:
     def test_other_decimal_digits_accepted(self):
         assert P("٣*y") == 3 * P("y")
 
+    def test_unicode_whitespace_skipped(self):
+        assert P("y\u00a0+\u2003u\x1c") == P("y + u")
+        assert P("\u2003 y'\u00a0*\x1cu ") == P("y'*u")
+
+    def test_fullwidth_digit_is_a_digit(self):
+        assert P("\uff11*y") == P("y")
+        assert P("y^\uff12 + \uff11\uff12") == P("y^2 + 12")
+
+    def test_sum_drops_and_restores_a_cancelled_term(self):
+        assert P("y - y + y") == P("y")
+        assert format_poly(P("y - y + y")) == "y"
+        assert P("u + y - u - y").is_zero
+
+    def test_zero_coefficient_terms_dropped(self):
+        assert P("0*u + y") == P("y")
+        assert P("0*u + y").terms == {mono(("y", 0, 1)): Fraction(1)}
+
 
 class TestRejection:
     @pytest.mark.parametrize(
@@ -103,6 +121,46 @@ class TestRejection:
     def test_syntax_errors(self, text):
         with pytest.raises(ParseError):
             P(text)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("", ("parse-error", 0, "a number, variable or '('", "end of input")),
+            ("y +", ("parse-error", 3, "a number, variable or '('", "end of input")),
+            ("(y", ("parse-error", 2, "')'", "end of input")),
+            ("y)", ("parse-error", 1, "end of input", ")")),
+            ("2y", ("parse-error", 1, "end of input", "y")),
+            ("y * * u", ("parse-error", 4, "a number, variable or '('", "*")),
+            ("y^", ("parse-error", 2, "an exponent", "end of input")),
+            ("y ^ (", ("parse-error", 5, "a derivative order", "end of input")),
+            ("(y+1)^(2)", ("parse-error", 6, "an exponent", "'('")),
+            ("y'^(2)", ("parse-error", 3, "an exponent", "'('")),
+            ("3/0", ("parse-error", 2, "a positive denominator", "0")),
+            ("1 @ 2", ("parse-error", 2, "a token", "'@'")),
+            ("y..", ("parse-error", 1, "a token", "'.'")),
+            ("--y", ("parse-error", 1, "a number, variable or '('", "-")),
+            ("3 + -4", ("parse-error", 4, "a number, variable or '('", "-")),
+            ("²", ("parse-error", 0, "a token", "'²'")),
+            ("2²", ("parse-error", 1, "a token", "'²'")),
+            ("y^²", ("parse-error", 2, "a token", "'²'")),
+            ("y^(²)", ("parse-error", 3, "a token", "'²'")),
+            ("y²", ("parse-error", 1, "a token", "'²'")),
+            ("é", ("parse-error", 0, "a token", "'é'")),
+            ("yé", ("parse-error", 1, "a token", "'é'")),
+            ("y + )", ("parse-error", 4, "a number, variable or '('", ")")),
+            ("w + 1", ("unknown-indeterminate", None, None, None)),
+            ("y^(3]", ("parse-error", 4, "a token", "']'")),
+            # The whole text is tokenized first: a stray character is
+            # reported even after an earlier grammar error.
+            ("y + ) @", ("parse-error", 6, "a token", "'@'")),
+        ],
+    )
+    def test_error_fields(self, text, error):
+        with pytest.raises(DiffAlgError) as excinfo:
+            P(text)
+        exc = excinfo.value
+        fields = tuple(getattr(exc, name, None) for name in ("position", "expected", "found"))
+        assert (exc.slug, *fields) == error
 
     def test_undeclared_identifier(self):
         with pytest.raises(UnknownIndeterminate):
