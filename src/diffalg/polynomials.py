@@ -6,9 +6,11 @@ The derivation maps the k-th derivative of an indeterminate to the
 (k+1)-st, kills rational constants, and extends to products by the Leibniz
 rule.
 
-Values are immutable and canonical: coefficients are reduced fractions,
-zero terms are never stored, and structural equality coincides with
-mathematical equality.  The zero polynomial has an empty term map.
+Values are immutable and canonical: a coefficient is an int when integral,
+else a reduced Fraction (Fraction arithmetic may leave an integral Fraction,
+which compares and hashes like the int); zero terms are never stored, and
+structural equality coincides with mathematical equality.  The zero
+polynomial has an empty term map.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class Context:
         return DiffPoly(self, {Monomial(((DerivVar(name, order), 1),)): 1})
 
     def constant(self, value: Scalar) -> DiffPoly:
-        return DiffPoly(self, {Monomial.UNIT: Fraction(value)})
+        return DiffPoly(self, {Monomial.UNIT: value})
 
     def zero(self) -> DiffPoly:
         return DiffPoly(self, {})
@@ -190,10 +192,18 @@ def monomial_key(mono: Monomial, ctx: Context):
     return (mono.degree, tuple(ranked))
 
 
-def _collect(terms: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+def _scalar(c: Scalar) -> Scalar:
+    """``c`` as an int when it is integral, else as a reduced Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _collect(terms: Iterable[tuple[Monomial, Scalar]]) -> dict[Monomial, Scalar]:
     """Sum the coefficients of equal monomials; zero sums are dropped.
     Every sum of term maps goes through here."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Scalar] = {}
     for mono, c in terms:
         s = acc[mono] + c if mono in acc else c
         if s:
@@ -220,18 +230,18 @@ class DiffPoly:
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
         self.ctx = ctx
-        self._terms = _collect((mono, Fraction(c)) for mono, c in terms.items())
+        self._terms = _collect((mono, _scalar(c)) for mono, c in terms.items())
 
     @classmethod
-    def _raw(cls, ctx: Context, terms: dict[Monomial, Fraction]) -> DiffPoly:
-        # Internal fast path: terms already canonical (Fractions, no zeros).
+    def _raw(cls, ctx: Context, terms: dict[Monomial, Scalar]) -> DiffPoly:
+        # Internal fast path: terms already canonical (int when integral, no zeros).
         p = object.__new__(cls)
         p.ctx = ctx
         p._terms = terms
         return p
 
     @property
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Scalar]:
         return MappingProxyType(self._terms)
 
     @property
@@ -289,7 +299,7 @@ class DiffPoly:
     def __pow__(self, exponent: int) -> DiffPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = DiffPoly._raw(self.ctx, {Monomial.UNIT: Fraction(1)})
+        result = DiffPoly._raw(self.ctx, {Monomial.UNIT: 1})
         base = self
         e = exponent
         while e:
@@ -333,7 +343,7 @@ class DiffPoly:
     def coefficients(self, var: DerivVar) -> list[DiffPoly]:
         """Coefficients of the powers of ``var``, highest first, with ``var``
         removed; the first is nonzero, and the zero polynomial has none."""
-        by_power: dict[int, dict[Monomial, Fraction]] = {}
+        by_power: dict[int, dict[Monomial, Scalar]] = {}
         for mono, c in self._terms.items():
             rest = mono._exps.copy()
             by_power.setdefault(rest.pop(var, 0), {})[Monomial._make(rest)] = c
@@ -362,7 +372,7 @@ class DiffPoly:
             p = DiffPoly._raw(self.ctx, _collect(p._leibniz_terms()))
         return p
 
-    def _leibniz_terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def _leibniz_terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         # One term per factor: lower its exponent, raise the next derivative.
         for mono, c in self._terms.items():
             exps = mono._exps
@@ -448,7 +458,7 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
     heap = [(inverted_key(mono), seq, mono) for seq, mono in enumerate(rem)]
     heapq.heapify(heap)
     counter = len(heap)
-    quotient: dict[Monomial, Fraction] = {}
+    quotient: dict[Monomial, Scalar] = {}
     while rem:
         lt_r_mono = None
         while heap:
@@ -461,7 +471,8 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
         mono = lt_r_mono.divide(lt_q_mono)
         if mono is None:
             raise ValueError("polynomials do not divide exactly")
-        coeff = lt_r_coeff / lt_q_coeff
+        # Fraction(a, b), never a / b: two ints would divide to a float.
+        coeff = _scalar(Fraction(lt_r_coeff, lt_q_coeff))
         quotient[mono] = coeff
         for m2, c2 in q_tail:
             mm = mono * m2

@@ -148,6 +148,11 @@ def ritt_reduce(
     return certificate(m, n, work, cofactors)
 
 
+def _degree(p: DiffPoly) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((mono.degree for mono in p.terms), default=-1)
+
+
 def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     """Re-establish the certificate identity by exact expansion and check
     the mode's rank contract on the remainder."""
@@ -162,11 +167,20 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     if cert.m < 0 or cert.n < 0 or any(not 0 <= k <= bound for k in cert.cofactors):
         return VerificationResult(False, "shape")
 
-    lhs = (
-        initial(divisor, main) ** cert.m
-        * separant(divisor, main) ** cert.n
-        * cert.dividend
-    )
+    lhs = cert.dividend
+    if not lhs.is_zero:
+        # In a domain I^m S^n F has total degree m deg I + n deg S + deg F,
+        # and delta never raises total degree: a left side above every right
+        # term cannot match, so refuse it before expanding any power.
+        init, sep = initial(divisor, main), separant(divisor, main)
+        left = cert.m * _degree(init) + cert.n * _degree(sep) + _degree(lhs)
+        right = max(
+            [_degree(cert.remainder)]
+            + [_degree(c) + _degree(divisor) for c in cert.cofactors.values()]
+        )
+        if left > right:
+            return VerificationResult(False, "identity")
+        lhs = init ** cert.m * sep ** cert.n * lhs
     rhs = cert.remainder
     for k, cof in cert.cofactors.items():
         rhs = rhs + cof * divisor.delta(k)

@@ -292,6 +292,31 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1
         assert result == (0, "invalid: shape\n", "")
 
+    def test_verify_bounds_a_huge_initial_power(self):
+        # m*deg(I) + n*deg(S) + deg(F) exceeds every right-hand degree, so the
+        # identity fails before (u + 1)^(10^8) is expanded.
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "y''",
+            "--divisor", "(u+1)*(y')^2 - 4*y",
+        ])[1]
+        assert "\nm: 1\n" in certificate
+        start = time.perf_counter()
+        result = run(["verify"], certificate.replace("\nm: 1\n", "\nm: 100000000\n"))
+        assert time.perf_counter() - start < 1
+        assert result == (0, "invalid: identity\n", "")
+
+    def test_verify_of_a_zero_dividend_expands_no_power(self):
+        # I^m * S^n * 0 = 0 = G for every m, so no power is expanded.
+        certificate = run([
+            "reduce", "--vars", "u,y", "--dividend", "0",
+            "--divisor", "(u+1)*(y')^2 - 4*y",
+        ])[1]
+        assert "\nm: 0\n" in certificate and "\nG: 0\n" in certificate
+        start = time.perf_counter()
+        result = run(["verify"], certificate.replace("\nm: 0\n", "\nm: 100000000\n"))
+        assert time.perf_counter() - start < 1
+        assert result == (0, "valid\n", "")
+
     def test_leading_zeros_are_not_significant(self):
         zeros = "0" * 5000
         start = time.perf_counter()

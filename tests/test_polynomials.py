@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,18 @@ from diffalg import (
     DerivVar,
     DiffPoly,
     Monomial,
+    ReducesIntoIdeal,
     UnknownIndeterminate,
+    VanishingResultant,
+    as_leader_poly,
+    chevalley_witness,
     exact_div,
     parse_poly,
+    resultant,
 )
+
+import _corpus
+from test_elimination import YP, _random_in_leader
 
 CTX = Context("u", "y")
 
@@ -260,3 +269,62 @@ class TestExactDiv:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(P("y"), CTX.zero())
+
+
+def _all_ints(p: DiffPoly) -> bool:
+    return all(type(c) is int for c in p.terms.values())
+
+
+class TestCoefficientTypes:
+    """An integral coefficient is stored as an int, any other as a reduced
+    Fraction; integer inputs never leave the ints."""
+
+    def test_exact_quotient_is_a_fraction_not_a_float(self):
+        (coeff,) = exact_div(P("y"), P("2*y")).terms.values()
+        assert type(coeff) is Fraction and coeff == Fraction(1, 2)
+
+    def test_integral_fraction_stored_as_int(self):
+        (coeff,) = DiffPoly(CTX, {Monomial.UNIT: Fraction(6, 2)}).terms.values()
+        assert type(coeff) is int and coeff == 3
+        assert _all_ints(P("6/2*y + 4/1")) and _all_ints(CTX.constant(Fraction(3)))
+
+    def test_integral_fraction_equals_int(self):
+        # Fraction arithmetic may leave an integral value as a Fraction.
+        held = P("1/2") * 6
+        assert type(next(iter(held.terms.values()))) is Fraction
+        assert held == DiffPoly(CTX, {Monomial.UNIT: 3}) == 3
+        assert held.terms == CTX.constant(3).terms
+
+    def test_ring_operations_keep_ints(self):
+        p, q = P("3*u*(y')^2 - 2*y^2 + 5"), P("u' - 4*y*y'")
+        y, u, yp = DerivVar("y", 0), DerivVar("u", 0), DerivVar("y", 1)
+        results = [
+            p, q, p + q, p - q, -p, p * q, p ** 3, p ** 0, p.delta(), p.delta(3),
+            p.partial(yp), p.partial(y), p.specialize({y: 2, u: -3, yp: 7}),
+            p.specialize({y: q}), exact_div(p * q, q), exact_div(p ** 2, p),
+        ]
+        for r in results:
+            assert not r.is_zero and _all_ints(r), r
+
+    def test_oracle_resultants_keep_ints(self):
+        # The random pairs of TestResultantOracle (tests/test_elimination.py).
+        rng = random.Random(43)
+        for _ in range(40):
+            p = _random_in_leader(rng, rng.randint(1, 4))
+            q = _random_in_leader(rng, rng.randint(1, 4))
+            assert _all_ints(resultant(as_leader_poly(p, YP), as_leader_poly(q, YP)))
+
+    def test_witnesses_keep_ints(self):
+        rng = random.Random(211)
+        produced = 0
+        while produced < 20:
+            A = _corpus.random_irreducible(rng, CTX, "y")
+            B = _corpus.random_nonzero(rng, CTX)
+            try:
+                w = chevalley_witness(B, A, main="y")
+            except (ReducesIntoIdeal, VanishingResultant):
+                continue
+            produced += 1
+            cert = w.weak_certificate
+            for part in (w.a, w.a1, w.a2, w.a3, w.b1, cert.remainder, *cert.cofactors.values()):
+                assert _all_ints(part), (A, B)

@@ -263,6 +263,33 @@ class TestRandomCorpus:
                 cert = ritt_reduce(F, A, "y", mode)
                 assert all(r + k <= top for k in cert.cofactors), (F, A, mode)
 
+    def test_degree_guard_agrees_with_full_expansion(self):
+        # verify_certificate answers "identity" from total degrees alone when
+        # deg(I^m S^n F) exceeds every right-hand term; that answer must be
+        # the one the expanded sides give, for true certificates and for the
+        # same certificates with m + 1 or n + 1.
+        def degree(p):
+            return max((mono.degree for mono in p.terms), default=-1)
+
+        guarded = 0
+        for F, A in self._pairs(100, seed=137):
+            for mode in (FULL, WEAK):
+                cert = ritt_reduce(F, A, "y", mode)
+                for bumped in (
+                    cert,
+                    dataclasses.replace(cert, m=cert.m + 1),
+                    dataclasses.replace(cert, n=cert.n + 1),
+                ):
+                    lhs, rhs = _identity_sides(bumped)
+                    reason = verify_certificate(bumped).reason
+                    assert (reason == "identity") == (lhs != rhs), (F, A, mode)
+                    right = max(
+                        [degree(bumped.remainder)]
+                        + [degree(c) + degree(A) for c in bumped.cofactors.values()]
+                    )
+                    guarded += degree(lhs) > right
+        assert guarded > 100
+
     def test_no_zero_cofactors_stored(self):
         for F, A in self._pairs(80, seed=127):
             cert = ritt_reduce(F, A, "y", FULL)
