@@ -11,22 +11,66 @@ else a reduced Fraction (Fraction arithmetic may leave an integral Fraction,
 which compares and hashes like the int); zero terms are never stored, and
 structural equality coincides with mathematical equality.  The zero
 polynomial has an empty term map.
+
+Terms are keyed by one int per monomial that packs its exponents: the
+exponent of the order-k derivative of the i-th declared name sits in 64-bit
+field number ``k * len(ctx.names) + i``, so multiplying monomials is one
+integer addition, and hashing and equality are native.  Equal Contexts
+declare equal names and so share one layout.  Every exponent stays below
+2**63: the top bit of each field is a guard bit, and a product, power or
+derivation that would set one raises ExponentOutOfRange.  ``DiffPoly.terms``
+is a read-only view of the term map that shows each key as a ``Monomial``.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+import sys
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Union
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import UnknownIndeterminate
+from .errors import DiffAlgError, ExponentOutOfRange, UnknownIndeterminate
 
 Scalar = Union[int, Fraction]
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
+
+_FIELD = 64
+_MASK = (1 << _FIELD) - 1
+_GUARD = 1 << (_FIELD - 1)
+_GUARD_BYTES = _GUARD.to_bytes(_FIELD // 8, "little")
+
+
+def _exponents(key: int) -> memoryview:
+    """The fields of a packed key, lowest first."""
+    size = -(-key.bit_length() // _FIELD) * (_FIELD // 8)
+    return memoryview(key.to_bytes(size, sys.byteorder)).cast("Q")
+
+
+_GUARDS = int.from_bytes(_GUARD_BYTES * 64, "little")
+
+
+def _guards(key: int) -> int:
+    """The guard bit of every field up to at least the highest one ``key``
+    sets; keys of at most 64 fields share one constant."""
+    if key < _GUARDS:
+        return _GUARDS
+    return int.from_bytes(_GUARD_BYTES * -(-key.bit_length() // _FIELD), "little")
+
+
+def _checked(terms: dict[int, Scalar]) -> dict[int, Scalar]:
+    """``terms``, unless a key sets a guard bit.  Fields never carry into
+    one another: every sum that can reach a guard bit adds two exponents
+    below 2**63, or one to such an exponent."""
+    bits = reduce(or_, terms, 0)
+    if bits & _guards(bits):
+        raise ExponentOutOfRange("an exponent reaches 2**63")
+    return terms
 
 
 class DerivVar(NamedTuple):
@@ -72,13 +116,33 @@ class Context:
     def __repr__(self) -> str:
         return f"Context({', '.join(map(repr, self.names))})"
 
+    # Packed monomial keys (see the module docstring).
+
+    def _offset(self, var: DerivVar) -> int:
+        """Bit offset of ``var``'s exponent field."""
+        return _FIELD * (var.order * len(self.names) + self.index(var.name))
+
+    def _pack(self, mono: Monomial) -> int:
+        key = 0
+        for var, exp in mono._exps.items():
+            if exp >= _GUARD:
+                raise ExponentOutOfRange(f"exponent {exp} of {var}")
+            key += exp << self._offset(var)
+        return key
+
+    def _unpack(self, key: int) -> Monomial:
+        n = len(self.names)
+        return Monomial._make(
+            {DerivVar(self.names[f % n], f // n): e for f, e in enumerate(_exponents(key)) if e}
+        )
+
     # Convenience constructors.
 
     def var(self, name: str, order: int = 0) -> DiffPoly:
         self.index(name)
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        return DiffPoly(self, {Monomial(((DerivVar(name, order), 1),)): 1})
+        return DiffPoly._raw(self, {1 << self._offset(DerivVar(name, order)): 1})
 
     def constant(self, value: Scalar) -> DiffPoly:
         return DiffPoly(self, {Monomial.UNIT: value})
@@ -95,8 +159,7 @@ class Monomial:
 
     The factors live in a private map from variable to exponent.  Equality
     and the hash depend only on that map, not on the order in which the
-    factors were given, so ``monomial_key`` is the one order on monomials.
-    The empty product is the unit monomial.
+    factors were given.  The empty product is the unit monomial.
     """
 
     __slots__ = ("_exps", "_hash")
@@ -157,12 +220,6 @@ class Monomial:
                 left[v] = have - e
         return Monomial._make(left)
 
-    def split(self, name: str) -> tuple[Monomial, Monomial]:
-        """Partition into (factors on ``name``, remaining factors)."""
-        mine = {v: e for v, e in self._exps.items() if v.name == name}
-        rest = {v: e for v, e in self._exps.items() if v.name != name}
-        return Monomial._make(mine), Monomial._make(rest)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._exps == other._exps
 
@@ -179,17 +236,17 @@ class Monomial:
 Monomial.UNIT = Monomial()
 
 
-def monomial_key(mono: Monomial, ctx: Context):
-    """Graded lexicographic sort key.
+def monomial_key(key: int, ctx: Context):
+    """Graded lexicographic sort key of a packed key.
 
     Total degree compares first; ties read exponents from the highest
     variable down, variables ordered by (declaration index, derivative
     order).
     """
-    ranked = sorted(
-        ((ctx.index(v.name), v.order, e) for v, e in mono._exps.items()), reverse=True
-    )
-    return (mono.degree, tuple(ranked))
+    exps = _exponents(key)
+    n = len(ctx.names)
+    ranked = sorted(((f % n, f // n, e) for f, e in enumerate(exps) if e), reverse=True)
+    return (sum(exps), tuple(ranked))
 
 
 def _scalar(c: Scalar) -> Scalar:
@@ -200,22 +257,51 @@ def _scalar(c: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-def _collect(terms: Iterable[tuple[Monomial, Scalar]]) -> dict[Monomial, Scalar]:
-    """Sum the coefficients of equal monomials; zero sums are dropped.
+def _collect(terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
+    """Sum the coefficients of equal keys; zero sums are dropped.
     Every sum of term maps goes through here."""
-    acc: dict[Monomial, Scalar] = {}
-    for mono, c in terms:
-        s = acc[mono] + c if mono in acc else c
+    acc: dict[int, Scalar] = {}
+    for key, c in terms:
+        s = acc[key] + c if key in acc else c
         if s:
-            acc[mono] = s
+            acc[key] = s
         else:
-            acc.pop(mono, None)
+            acc.pop(key, None)
     return acc
 
 
 def _sum(ctx: Context, polys: Iterable[DiffPoly]) -> DiffPoly:
     """The sum of ``polys``, their terms collected in one pass."""
     return DiffPoly._raw(ctx, _collect(chain.from_iterable(p._terms.items() for p in polys)))
+
+
+class _Terms(Mapping):
+    """Read-only view of a term map: keys are unpacked to ``Monomial``
+    values only when iterated, and a looked-up ``Monomial`` is packed."""
+
+    __slots__ = ("_ctx", "_terms")
+
+    def __init__(self, ctx: Context, terms: dict[int, Scalar]):
+        self._ctx = ctx
+        self._terms = terms
+
+    def __getitem__(self, mono: Monomial) -> Scalar:
+        try:
+            return self._terms[self._ctx._pack(mono)]
+        except (AttributeError, DiffAlgError, ValueError):
+            raise KeyError(mono) from None
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(self._ctx._unpack, self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def values(self):
+        return self._terms.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class DiffPoly:
@@ -230,10 +316,10 @@ class DiffPoly:
 
     def __init__(self, ctx: Context, terms: Mapping[Monomial, Scalar]):
         self.ctx = ctx
-        self._terms = _collect((mono, _scalar(c)) for mono, c in terms.items())
+        self._terms = _collect((ctx._pack(mono), _scalar(c)) for mono, c in terms.items())
 
     @classmethod
-    def _raw(cls, ctx: Context, terms: dict[Monomial, Scalar]) -> DiffPoly:
+    def _raw(cls, ctx: Context, terms: dict[int, Scalar]) -> DiffPoly:
         # Internal fast path: terms already canonical (int when integral, no zeros).
         p = object.__new__(cls)
         p.ctx = ctx
@@ -242,7 +328,7 @@ class DiffPoly:
 
     @property
     def terms(self) -> Mapping[Monomial, Scalar]:
-        return MappingProxyType(self._terms)
+        return _Terms(self.ctx, self._terms)
 
     @property
     def is_zero(self) -> bool:
@@ -287,19 +373,27 @@ class DiffPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        products = (
-            (m1 * m2, c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in q._terms.items()
-        )
-        return DiffPoly._raw(self.ctx, _collect(products))
+        acc: dict[int, Scalar] = {}
+        right = q._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                if m in acc:
+                    s = acc[m] + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+                else:
+                    acc[m] = c1 * c2
+        return DiffPoly._raw(self.ctx, _checked(acc))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> DiffPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = DiffPoly._raw(self.ctx, {Monomial.UNIT: 1})
+        result = DiffPoly._raw(self.ctx, {0: 1})
         base = self
         e = exponent
         while e:
@@ -322,31 +416,27 @@ class DiffPoly:
     # Structure queries
 
     def variables(self) -> set[DerivVar]:
-        seen: set[DerivVar] = set()
-        for mono in self._terms:
-            seen.update(mono.variables())
-        return seen
+        # A field of the OR of all keys is nonzero where any key's is.
+        return set(self.ctx._unpack(reduce(or_, self._terms, 0)).variables())
 
     def order_in(self, name: str) -> int | None:
         """Largest derivative order of ``name`` present, or None if absent."""
-        self.ctx.index(name)
-        best: int | None = None
-        for mono in self._terms:
-            for v in mono.variables():
-                if v.name == name and (best is None or v.order > best):
-                    best = v.order
-        return best
+        i, n = self.ctx.index(name), len(self.ctx.names)
+        present = _exponents(reduce(or_, self._terms, 0))[i::n]
+        return max((order for order, e in enumerate(present) if e), default=None)
 
     def degree_in(self, var: DerivVar) -> int:
-        return max((m.exponent(var) for m in self._terms), default=0)
+        s = self.ctx._offset(var)
+        return max((key >> s & _MASK for key in self._terms), default=0)
 
     def coefficients(self, var: DerivVar) -> list[DiffPoly]:
         """Coefficients of the powers of ``var``, highest first, with ``var``
         removed; the first is nonzero, and the zero polynomial has none."""
-        by_power: dict[int, dict[Monomial, Scalar]] = {}
-        for mono, c in self._terms.items():
-            rest = mono._exps.copy()
-            by_power.setdefault(rest.pop(var, 0), {})[Monomial._make(rest)] = c
+        s = self.ctx._offset(var)
+        by_power: dict[int, dict[int, Scalar]] = {}
+        for key, c in self._terms.items():
+            e = key >> s & _MASK
+            by_power.setdefault(e, {})[key - (e << s)] = c
         top = max(by_power, default=-1)
         return [DiffPoly._raw(self.ctx, by_power.get(e, {})) for e in range(top, -1, -1)]
 
@@ -355,13 +445,11 @@ class DiffPoly:
 
     def partial(self, var: DerivVar) -> DiffPoly:
         """Formal partial derivative with respect to one derivative variable."""
-        once = Monomial(((var, 1),))
-        lowered = (
-            (mono.divide(once), c * e)
-            for mono, c in self._terms.items()
-            if (e := mono.exponent(var))
-        )
-        return DiffPoly._raw(self.ctx, _collect(lowered))
+        s = self.ctx._offset(var)
+        lowered = {
+            key - (1 << s): c * e for key, c in self._terms.items() if (e := key >> s & _MASK)
+        }
+        return DiffPoly._raw(self.ctx, lowered)
 
     def delta(self, k: int = 1) -> DiffPoly:
         """Apply the derivation ``k`` times."""
@@ -369,22 +457,18 @@ class DiffPoly:
             raise ValueError("derivation count must be non-negative")
         p = self
         for _ in range(k):
-            p = DiffPoly._raw(self.ctx, _collect(p._leibniz_terms()))
+            p = DiffPoly._raw(self.ctx, _checked(_collect(p._leibniz_terms())))
         return p
 
-    def _leibniz_terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        # One term per factor: lower its exponent, raise the next derivative.
-        for mono, c in self._terms.items():
-            exps = mono._exps
-            for var, exp in exps.items():
-                bumped = exps.copy()
-                if exp == 1:
-                    del bumped[var]
-                else:
-                    bumped[var] = exp - 1
-                up = DerivVar(var.name, var.order + 1)
-                bumped[up] = bumped.get(up, 0) + 1
-                yield Monomial._make(bumped), c * exp
+    def _leibniz_terms(self) -> Iterator[tuple[int, Scalar]]:
+        # One term per factor: lower its exponent, raise the next derivative,
+        # whose field lies len(ctx.names) fields higher.
+        up = _FIELD * len(self.ctx.names)
+        for key, c in self._terms.items():
+            for f, exp in enumerate(_exponents(key)):
+                if exp:
+                    s = _FIELD * f
+                    yield key - (1 << s) + (1 << (s + up)), c * exp
 
     def specialize(self, values: Mapping[DerivVar, DiffPoly | Scalar]) -> DiffPoly:
         """Replace every listed derivative variable by its value, all at once;
@@ -395,13 +479,13 @@ class DiffPoly:
         y -> f is the jet ``{DerivVar("y", k): f.delta(k)}`` over the orders
         of y present.
         """
+        ctx = self.ctx
         pieces = []
-        for mono, c in self._terms.items():
-            kept = {v: e for v, e in mono._exps.items() if v not in values}
-            piece = DiffPoly._raw(self.ctx, {Monomial._make(kept): c})
-            for var, exp in mono._exps.items():
-                if var in values:
-                    piece = piece * values[var] ** exp
+        for key, c in self._terms.items():
+            listed = [(v, e) for v, e in ctx._unpack(key)._exps.items() if v in values]
+            piece = DiffPoly._raw(ctx, {key - sum(e << ctx._offset(v) for v, e in listed): c})
+            for var, exp in listed:
+                piece = piece * values[var] ** exp
             pieces.append(piece)
         return _sum(self.ctx, pieces)
 
@@ -420,8 +504,8 @@ def _shift(p: DiffPoly, var: DerivVar, power: int) -> DiffPoly:
     """``p * var**power`` for ``p`` free of ``var``, by setting exponents."""
     if not power:
         return p
-    terms = {Monomial._make({**m._exps, var: power}): c for m, c in p._terms.items()}
-    return DiffPoly._raw(p.ctx, terms)
+    up = power << p.ctx._offset(var)
+    return DiffPoly._raw(p.ctx, {key + up: c for key, c in p._terms.items()})
 
 
 def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
@@ -434,48 +518,42 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
     Each round cancels the remainder's leading term against q's, so the
     leading monomial strictly decreases and the loop runs once per
     quotient term.  The remainder lives in a plain dict; its current
-    leading monomial comes from a lazy max-heap of inverted sort keys,
-    which keeps large divisions affordable.
+    leading monomial comes from a lazy max-heap of negated keys, which
+    keeps large divisions affordable.  Leading means largest as an int:
+    lex order with the highest field first.  That is a monomial order,
+    since keys add without carries, and the exact quotient is the same
+    under any monomial order.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero:
         return p
-    ctx = p.ctx
-    lt_q_mono = max(q._terms, key=lambda m: monomial_key(m, ctx))
-    lt_q_coeff = q._terms[lt_q_mono]
-    q_tail = [(m, c) for m, c in q._terms.items() if m is not lt_q_mono]
-
-    def inverted_key(mono: Monomial):
-        # Element-wise negation inverts the graded-lex order: the degree
-        # component always differs first unless the ranked tuples have equal
-        # length (equal-degree monomials are never strict prefixes of one
-        # another).
-        degree, ranked = monomial_key(mono, ctx)
-        return (-degree, tuple((-i, -o, -e) for i, o, e in ranked))
-
+    lt_q = max(q._terms)
+    lt_q_coeff = q._terms[lt_q]
+    q_tail = [(key, c) for key, c in q._terms.items() if key != lt_q]
+    # Every key met below has its fields among those of p and q.
+    guards = _guards(max(chain(p._terms, q._terms)))
     rem = dict(p._terms)
-    heap = [(inverted_key(mono), seq, mono) for seq, mono in enumerate(rem)]
+    heap = [-key for key in rem]
     heapq.heapify(heap)
-    counter = len(heap)
-    quotient: dict[Monomial, Scalar] = {}
+    quotient: dict[int, Scalar] = {}
     while rem:
-        lt_r_mono = None
-        while heap:
-            _, _, candidate = heapq.heappop(heap)
-            if candidate in rem:
-                lt_r_mono = candidate
-                break
-        assert lt_r_mono is not None
-        lt_r_coeff = rem.pop(lt_r_mono)
-        mono = lt_r_mono.divide(lt_q_mono)
-        if mono is None:
+        lt_r = -heapq.heappop(heap)
+        while lt_r not in rem:
+            lt_r = -heapq.heappop(heap)
+        lt_r_coeff = rem.pop(lt_r)
+        # A field that borrows clears its guard bit.  A remainder key that
+        # has set one cannot come from a divisor: the products of an exact
+        # quotient stay within the exponents of p.
+        borrowed = (lt_r | guards) - lt_q
+        if borrowed & guards != guards or lt_r & guards:
             raise ValueError("polynomials do not divide exactly")
+        mono = borrowed ^ guards
         # Fraction(a, b), never a / b: two ints would divide to a float.
         coeff = _scalar(Fraction(lt_r_coeff, lt_q_coeff))
         quotient[mono] = coeff
         for m2, c2 in q_tail:
-            mm = mono * m2
+            mm = mono + m2
             if mm in rem:
                 s = rem[mm] - coeff * c2
                 if s:
@@ -484,6 +562,5 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
                     del rem[mm]
             else:
                 rem[mm] = -coeff * c2
-                counter += 1
-                heapq.heappush(heap, (inverted_key(mm), counter, mm))
-    return DiffPoly._raw(ctx, quotient)
+                heapq.heappush(heap, -mm)
+    return DiffPoly._raw(p.ctx, quotient)

@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import ConstantDivisor
 from .elimination import _pseudo_divide
-from .polynomials import DerivVar, DiffPoly, _shift, _sum
+from .polynomials import DerivVar, DiffPoly, _exponents, _shift, _sum
 from .ranking import Comparison, initial, rank_compare, rank_profile, separant
 
 
@@ -150,7 +150,7 @@ def ritt_reduce(
 
 def _degree(p: DiffPoly) -> int:
     """Total degree; -1 for the zero polynomial."""
-    return max((mono.degree for mono in p.terms), default=-1)
+    return max((sum(_exponents(key)) for key in p._terms), default=-1)
 
 
 def verify_certificate(cert: ReductionCertificate) -> VerificationResult:

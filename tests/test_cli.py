@@ -257,6 +257,20 @@ class TestExitCodes:
             assert err.startswith("error: exponent-out-of-range:")
             assert err.count("\n") == 1
 
+    def test_computed_exponent_past_a_word_is_out_of_range(self):
+        # Each exponent typed is 2^63 - 1; each computed one would be 2^63,
+        # which a printed certificate could not state for verify to read.
+        top = "y^9223372036854775807"
+        for argv in [
+            ["parse", "--vars", "y", f"{top}*y"],
+            ["parse", "--vars", "y", f"({top})^2"],
+            ["reduce", "--vars", "y", "--dividend", f"{top}*y", "--divisor", "y'"],
+        ]:
+            code, out, err = run(argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: exponent-out-of-range: ")
+            assert err.count("\n") == 1
+
     def test_error_line_is_bounded(self):
         certificate = run([
             "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",

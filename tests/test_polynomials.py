@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from diffalg import (
     Context,
     DerivVar,
     DiffPoly,
+    ExponentOutOfRange,
     Monomial,
     ReducesIntoIdeal,
     UnknownIndeterminate,
@@ -328,3 +330,123 @@ class TestCoefficientTypes:
             cert = w.weak_certificate
             for part in (w.a, w.a1, w.a2, w.a3, w.b1, cert.remainder, *cert.cofactors.values()):
                 assert _all_ints(part), (A, B)
+
+
+# Reference arithmetic on ``terms`` views with plain dicts of Monomials.
+
+def _ref_collect(pairs) -> dict:
+    acc: dict = {}
+    for mono, c in pairs:
+        acc[mono] = acc.get(mono, 0) + c
+    return {mono: c for mono, c in acc.items() if c}
+
+
+def _power(var: DerivVar, exp: int = 1) -> Monomial:
+    return Monomial(((var, exp),))
+
+
+def _ref_mul(p: DiffPoly, q: DiffPoly) -> dict:
+    return _ref_collect(
+        (m1 * m2, c1 * c2) for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()
+    )
+
+
+def _ref_delta(p: DiffPoly) -> dict:
+    return _ref_collect(
+        (mono.divide(_power(v)) * _power(DerivVar(v.name, v.order + 1)), c * mono.exponent(v))
+        for mono, c in p.terms.items()
+        for v in mono.variables()
+    )
+
+
+def _ref_partial(p: DiffPoly, var: DerivVar) -> dict:
+    return _ref_collect(
+        (mono.divide(_power(var)), c * mono.exponent(var))
+        for mono, c in p.terms.items()
+        if mono.exponent(var)
+    )
+
+
+def _ref_coefficients(p: DiffPoly, var: DerivVar) -> list[dict]:
+    by_power: dict[int, dict] = {}
+    for mono, c in p.terms.items():
+        e = mono.exponent(var)
+        by_power.setdefault(e, {})[mono.divide(_power(var, e))] = c
+    return [by_power.get(e, {}) for e in range(max(by_power, default=-1), -1, -1)]
+
+
+# Ten names with orders up to 40: exponent fields up to number 409.
+WIDE = Context(*(f"x{i}" for i in range(10)))
+
+
+def _polys_over(ctx: Context, max_order: int):
+    var = st.builds(DerivVar, st.sampled_from(ctx.names), st.integers(0, max_order))
+    return var, st.dictionaries(
+        st.lists(var, max_size=3).map(_mono), coefficients, max_size=5
+    ).map(lambda terms: DiffPoly(ctx, terms))
+
+
+def _operands(ctx: Context, max_order: int):
+    var, poly = _polys_over(ctx, max_order)
+    return st.tuples(poly, poly, var)
+
+
+operands = st.one_of(_operands(CTX, 3), _operands(WIDE, 40))
+
+
+class TestPackedKeys:
+    """Packed integer keys against dict arithmetic on Monomial values."""
+
+    @given(operands)
+    def test_operations_match_reference(self, args):
+        p, q, var = args
+        assert (p * q).terms == _ref_mul(p, q)
+        assert p.delta().terms == _ref_delta(p)
+        assert p.partial(var).terms == _ref_partial(p, var)
+        assert [c.terms for c in p.coefficients(var)] == _ref_coefficients(p, var)
+        assert p.degree_in(var) == max((m.exponent(var) for m in p.terms), default=0)
+        assert p.variables() == {v for m in p.terms for v in m.variables()}
+        if not q.is_zero:
+            assert exact_div(DiffPoly(p.ctx, _ref_mul(p, q)), q).terms == p.terms
+        assert parse_poly(str(p), p.ctx) == p
+
+    def test_borrows_never_fake_divisibility(self):
+        for p, q in [("u*y", "y^2"), ("u", "y"), ("y''", "y'")]:
+            with pytest.raises(ValueError):
+                exact_div(P(p), P(q))
+
+    def test_remainder_past_the_guard_bit_is_no_divisor(self):
+        # The first step leaves u^(2^63)*y^2, whose guard bit read as a
+        # borrow-free field would divide by y^2 and let the remainder cancel.
+        with pytest.raises(ValueError):
+            exact_div(P("u^9223372036854775807*y^3 - u*y"), P("y^2 + u*y"))
+
+    def test_computed_exponent_stays_below_two_to_the_63(self):
+        top = "9223372036854775807"
+        with pytest.raises(ExponentOutOfRange):
+            P(f"y'*(y'')^{top}").delta()
+        with pytest.raises(ExponentOutOfRange):
+            P(f"y^{top}") * P("y")
+        with pytest.raises(ExponentOutOfRange):
+            P(f"y^{top}*y")
+        with pytest.raises(ExponentOutOfRange):
+            P("y^4611686018427387904") ** 2
+        assert str(P("y^4611686018427387903") ** 2) == "y^9223372036854775806"
+        assert str(P(f"(y')^{top}").delta()) == f"{top}*(y')^9223372036854775806*y''"
+        with pytest.raises(ExponentOutOfRange):
+            DiffPoly(CTX, {_power(DerivVar("y", 0), 2**63): 1})
+
+    def test_undeclared_name_rejected_at_construction(self):
+        with pytest.raises(UnknownIndeterminate):
+            DiffPoly(CTX, {_power(DerivVar("w", 0)): 1})
+
+    def test_terms_is_a_read_only_view(self):
+        terms = P("3*u*y' - y").terms
+        uy1 = Monomial(((DerivVar("u", 0), 1), (DerivVar("y", 1), 1)))
+        assert isinstance(terms, Mapping) and len(terms) == 2
+        assert terms[uy1] == 3 and sorted(terms.values()) == [-1, 3]
+        assert _power(DerivVar("y", 0)) in terms
+        for absent in (_power(DerivVar("w", 0)), _power(DerivVar("y", 0), 2), "y"):
+            assert absent not in terms
+        with pytest.raises(TypeError):
+            terms[uy1] = 1
