@@ -52,14 +52,8 @@ def _exponents(key: int) -> memoryview:
     return memoryview(key.to_bytes(size, sys.byteorder)).cast("Q")
 
 
-_GUARDS = int.from_bytes(_GUARD_BYTES * 64, "little")
-
-
 def _guards(key: int) -> int:
-    """The guard bit of every field up to at least the highest one ``key``
-    sets; keys of at most 64 fields share one constant."""
-    if key < _GUARDS:
-        return _GUARDS
+    """The guard bit of every field up to the highest one ``key`` sets."""
     return int.from_bytes(_GUARD_BYTES * -(-key.bit_length() // _FIELD), "little")
 
 
@@ -498,6 +492,25 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return f"<DiffPoly {self}>"
+
+
+def _split(p: DiffPoly, name: str) -> dict[int, DiffPoly]:
+    """``p`` as a sum of head * rest, by head: the key of a monomial's
+    factors in the derivatives of ``name``; each rest is free of them."""
+    ctx = p.ctx
+    # The fields of name's derivatives are every len(ctx.names)-th one.
+    fields = -(-max(p._terms, default=0).bit_length() // _FIELD)
+    on_name = sum(_MASK << _FIELD * f for f in range(ctx.index(name), fields, len(ctx.names)))
+    groups: dict[int, dict[int, Scalar]] = {}
+    for key, c in p._terms.items():
+        head = key & on_name
+        groups.setdefault(head, {})[key - head] = c
+    return {head: DiffPoly._raw(ctx, rest) for head, rest in groups.items()}
+
+
+def _degree(p: DiffPoly) -> int:
+    """Total degree; -1 for the zero polynomial."""
+    return max((sum(_exponents(key)) for key in p._terms), default=-1)
 
 
 def _shift(p: DiffPoly, var: DerivVar, power: int) -> DiffPoly:

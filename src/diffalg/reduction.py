@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import ConstantDivisor
 from .elimination import _pseudo_divide
-from .polynomials import DerivVar, DiffPoly, _exponents, _shift, _sum
+from .polynomials import DerivVar, DiffPoly, _degree, _shift, _sum
 from .ranking import Comparison, initial, rank_compare, rank_profile, separant
 
 
@@ -146,11 +146,6 @@ def ritt_reduce(
             break
 
     return certificate(m, n, work, cofactors)
-
-
-def _degree(p: DiffPoly) -> int:
-    """Total degree; -1 for the zero polynomial."""
-    return max((sum(_exponents(key)) for key in p._terms), default=-1)
 
 
 def verify_certificate(cert: ReductionCertificate) -> VerificationResult:

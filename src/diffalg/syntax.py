@@ -29,9 +29,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
-from .polynomials import (
-    _IDENT_RE, Context, DerivVar, DiffPoly, _checked, _scalar, _sum, monomial_key
-)
+from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, _sum, monomial_key
 
 _WORD_MAX = 2**63 - 1
 # Each open parenthesis costs four parser frames; this keeps deep input
@@ -101,23 +99,11 @@ class _Parser:
             sign = self.take()[1]
 
     def parse_term(self) -> DiffPoly:
-        # One-term factors fold into one coefficient and one key; only a
-        # factor with several terms (or none) is multiplied in.
-        coeff, key, product = 1, 0, None
-        while True:
-            factor = self.parse_factor()
-            if len(factor) == 1:
-                ((k, c),) = factor._terms.items()
-                coeff, key = coeff * c, key + k
-            else:
-                product = factor if product is None else product * factor
-            if not self.at("*"):
-                break
+        result = self.parse_factor()
+        while self.at("*"):
             self.pos += 1
-        if product is not None and (key, coeff) == (0, 1):
-            return product
-        term = DiffPoly._raw(self.ctx, _checked({key: _scalar(coeff)}))
-        return term if product is None else term * product
+            result = result * self.parse_factor()
+        return result
 
     def parse_factor(self) -> DiffPoly:
         base = self.parse_base()
@@ -166,7 +152,7 @@ class _Parser:
             self.pos += 2
             order = self.parse_nat("a derivative order")
             self.take(")")
-        return DiffPoly._raw(self.ctx, {1 << self.ctx._offset(DerivVar(name, order)): 1})
+        return self.ctx.var(name, order)
 
 
 def parse_poly(text: str, ctx: Context) -> DiffPoly:

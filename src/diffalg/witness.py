@@ -29,7 +29,7 @@ from .errors import (
     VanishingResultant,
     ZeroTarget,
 )
-from .polynomials import _FIELD, _MASK, DiffPoly, monomial_key
+from .polynomials import DiffPoly, _split, monomial_key
 from .ranking import rank_profile, initial
 from .reduction import ReductionCertificate, ReductionMode, ritt_reduce
 from .elimination import as_leader_poly, discriminant, resultant
@@ -73,16 +73,8 @@ def select_coefficient(p: DiffPoly, main: str) -> DiffPoly:
     """
     if p.is_zero:
         raise ZeroTarget("cannot select a coefficient of the zero polynomial")
-    ctx = p.ctx
-    # The fields of main's derivatives are every len(ctx.names)-th one.
-    fields = -(-max(p._terms).bit_length() // _FIELD)
-    on_main = sum(_MASK << _FIELD * f for f in range(ctx.index(main), fields, len(ctx.names)))
-    groups: dict[int, dict] = {}
-    for key, coeff in p._terms.items():
-        head = key & on_main
-        groups.setdefault(head, {})[key - head] = coeff
-    chosen = min(groups, key=lambda head: monomial_key(head, ctx))
-    return DiffPoly._raw(ctx, groups[chosen])
+    groups = _split(p, main)
+    return groups[min(groups, key=lambda head: monomial_key(head, p.ctx))]
 
 
 def chevalley_witness(

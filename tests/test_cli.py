@@ -264,6 +264,8 @@ class TestExitCodes:
         for argv in [
             ["parse", "--vars", "y", f"{top}*y"],
             ["parse", "--vars", "y", f"({top})^2"],
+            ["parse", "--vars", "y", f"{top}*{top}*y^2"],
+            ["parse", "--vars", "u,y", f"{top}*{top}*y^2".replace("y", "u")],
             ["reduce", "--vars", "y", "--dividend", f"{top}*y", "--divisor", "y'"],
         ]:
             code, out, err = run(argv)

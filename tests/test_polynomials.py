@@ -427,8 +427,11 @@ class TestPackedKeys:
             P(f"y'*(y'')^{top}").delta()
         with pytest.raises(ExponentOutOfRange):
             P(f"y^{top}") * P("y")
-        with pytest.raises(ExponentOutOfRange):
-            P(f"y^{top}*y")
+        # Three factors: a field past its guard bit must not carry into the
+        # next field, which holds u' above y and y above u.
+        for text in [f"y^{top}*y", f"y^{top}*y^{top}*y^2", f"u^{top}*u^{top}*u^2"]:
+            with pytest.raises(ExponentOutOfRange):
+                P(text)
         with pytest.raises(ExponentOutOfRange):
             P("y^4611686018427387904") ** 2
         assert str(P("y^4611686018427387903") ** 2) == "y^9223372036854775806"
