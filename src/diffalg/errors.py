@@ -48,7 +48,7 @@ class UnknownIndeterminate(InputError):
 
 
 class ExponentOutOfRange(InputError):
-    """An exponent or derivative order does not fit a machine word."""
+    """A number or exponent reaches 2**63, or a derivative lies past field 4095."""
 
 
 class DocumentError(InputError):

@@ -18,8 +18,10 @@ field number ``k * len(ctx.names) + i``, so multiplying monomials is one
 integer addition, and hashing and equality are native.  Equal Contexts
 declare equal names and so share one layout.  Every exponent stays below
 2**63: the top bit of each field is a guard bit, and a product, power or
-derivation that would set one raises ExponentOutOfRange.  ``DiffPoly.terms``
-is a read-only view of the term map that shows each key as a ``Monomial``.
+derivation that would set one raises ExponentOutOfRange.  Field numbers
+stay below 4096, so a key holds at most 32 KiB; a derivative past that
+raises ExponentOutOfRange too.  ``DiffPoly.terms`` is a read-only view of
+the term map that shows each key as a ``Monomial``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ Scalar = Union[int, Fraction]
 _IDENT_RE = re.compile(r"[a-z][a-z0-9]*")
 
 _FIELD = 64
+_FIELDS = 4096
 _MASK = (1 << _FIELD) - 1
 _GUARD = 1 << (_FIELD - 1)
-_GUARD_BYTES = _GUARD.to_bytes(_FIELD // 8, "little")
+# The guard bit of every field a key may have.
+_GUARDS = int.from_bytes(_GUARD.to_bytes(_FIELD // 8, "little") * _FIELDS, "little")
 
 
 def _exponents(key: int) -> memoryview:
@@ -52,19 +56,57 @@ def _exponents(key: int) -> memoryview:
     return memoryview(key.to_bytes(size, sys.byteorder)).cast("Q")
 
 
-def _guards(key: int) -> int:
-    """The guard bit of every field up to the highest one ``key`` sets."""
-    return int.from_bytes(_GUARD_BYTES * -(-key.bit_length() // _FIELD), "little")
-
-
 def _checked(terms: dict[int, Scalar]) -> dict[int, Scalar]:
-    """``terms``, unless a key sets a guard bit.  Fields never carry into
-    one another: every sum that can reach a guard bit adds two exponents
-    below 2**63, or one to such an exponent."""
+    """``terms``, unless a key sets a guard bit or a field past the last.
+    Fields never carry into one another: every sum that can reach a guard
+    bit adds two exponents below 2**63, or one to such an exponent."""
     bits = reduce(or_, terms, 0)
-    if bits & _guards(bits):
+    if bits & _GUARDS:
         raise ExponentOutOfRange("an exponent reaches 2**63")
+    if bits >> _FIELD * _FIELDS:
+        raise ExponentOutOfRange(f"a derivative past field {_FIELDS - 1}")
     return terms
+
+
+def _product(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
+    """The term map of the product of two term maps; one term times one
+    term is one key addition."""
+    if len(a) == 1 == len(b):
+        [(ka, ca)], [(kb, cb)] = a.items(), b.items()
+        if (key := ka + kb) & _GUARDS:
+            raise ExponentOutOfRange("an exponent reaches 2**63")
+        return {key: ca * cb}
+    acc: dict[int, Scalar] = {}
+    right = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in right:
+            m = m1 + m2
+            if m in acc:
+                s = acc[m] + c1 * c2
+                if s:
+                    acc[m] = s
+                else:
+                    del acc[m]
+            else:
+                acc[m] = c1 * c2
+    return _checked(acc)
+
+
+def _power(terms: dict[int, Scalar], e: int) -> dict[int, Scalar]:
+    """The term map of ``terms`` to the power ``e``.  A one-term base is
+    raised at once, each field times ``e``; any other by repeated squaring."""
+    if len(terms) == 1 and e:
+        [(key, c)] = terms.items()
+        if key and max(_exponents(key)) * e >= _GUARD:
+            raise ExponentOutOfRange("an exponent reaches 2**63")
+        return {key * e: c**e}
+    result: dict[int, Scalar] = {0: 1}
+    while e:
+        if e & 1:
+            result = _product(result, terms)
+        terms = _product(terms, terms) if e > 1 else terms
+        e >>= 1
+    return result
 
 
 class DerivVar(NamedTuple):
@@ -114,7 +156,10 @@ class Context:
 
     def _offset(self, var: DerivVar) -> int:
         """Bit offset of ``var``'s exponent field."""
-        return _FIELD * (var.order * len(self.names) + self.index(var.name))
+        field = var.order * len(self.names) + self.index(var.name)
+        if field >= _FIELDS:
+            raise ExponentOutOfRange(f"order {var.order} of {var.name} past field {_FIELDS - 1}")
+        return _FIELD * field
 
     def _pack(self, mono: Monomial) -> int:
         key = 0
@@ -130,13 +175,16 @@ class Context:
             {DerivVar(self.names[f % n], f // n): e for f, e in enumerate(_exponents(key)) if e}
         )
 
+    def _var_terms(self, name: str, order: int) -> dict[int, Scalar]:
+        return {1 << self._offset(DerivVar(name, order)): 1}
+
     # Convenience constructors.
 
     def var(self, name: str, order: int = 0) -> DiffPoly:
         self.index(name)
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        return DiffPoly._raw(self, {1 << self._offset(DerivVar(name, order)): 1})
+        return DiffPoly._raw(self, self._var_terms(name, order))
 
     def constant(self, value: Scalar) -> DiffPoly:
         return DiffPoly(self, {Monomial.UNIT: value})
@@ -239,7 +287,7 @@ def monomial_key(key: int, ctx: Context):
     """
     exps = _exponents(key)
     n = len(ctx.names)
-    ranked = sorted(((f % n, f // n, e) for f, e in enumerate(exps) if e), reverse=True)
+    ranked = sorted([(f % n, f // n, e) for f, e in enumerate(exps) if e], reverse=True)
     return (sum(exps), tuple(ranked))
 
 
@@ -367,35 +415,14 @@ class DiffPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        acc: dict[int, Scalar] = {}
-        right = q._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in right:
-                m = m1 + m2
-                if m in acc:
-                    s = acc[m] + c1 * c2
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-                else:
-                    acc[m] = c1 * c2
-        return DiffPoly._raw(self.ctx, _checked(acc))
+        return DiffPoly._raw(self.ctx, _product(self._terms, q._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> DiffPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = DiffPoly._raw(self.ctx, {0: 1})
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return DiffPoly._raw(self.ctx, _power(self._terms, exponent))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -544,8 +571,8 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
     lt_q = max(q._terms)
     lt_q_coeff = q._terms[lt_q]
     q_tail = [(key, c) for key, c in q._terms.items() if key != lt_q]
-    # Every key met below has its fields among those of p and q.
-    guards = _guards(max(chain(p._terms, q._terms)))
+    # The guard bits of p's and q's fields; every key met below lies in them.
+    guards = _GUARDS & ((1 << max(chain(p._terms, q._terms)).bit_length() + _FIELD) - 1)
     rem = dict(p._terms)
     heap = [-key for key in rem]
     heapq.heapify(heap)

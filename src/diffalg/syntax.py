@@ -3,7 +3,9 @@
 Tokens are numbers (runs of Unicode decimal digits, ``str.isdecimal``),
 identifiers and the operators ``' ^ ( ) * + - /``, separated by optional
 Unicode whitespace (``str.isspace``).  Any other character is a parse error,
-reported before grammar errors: the whole text is tokenized first.
+reported before grammar errors: the whole text is tokenized first.  The
+parser builds term maps, not a polynomial per token, and works out a token's
+position only to report an error.
 
 Grammar (one-token lookahead):
 
@@ -29,7 +31,8 @@ import re
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
-from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, _sum, monomial_key
+from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, Scalar, monomial_key
+from .polynomials import _collect, _power, _product, _scalar
 
 _WORD_MAX = 2**63 - 1
 # Each open parenthesis costs four parser frames; this keeps deep input
@@ -37,45 +40,56 @@ _WORD_MAX = 2**63 - 1
 _MAX_NESTING = 100
 
 # One alternative per token kind, in priority order; whitespace matches none.
-# Identifiers are exactly the names a Context can declare.
-_TOKEN_RE = re.compile(
-    rf"(?P<number>\d+)|(?P<ident>{_IDENT_RE.pattern})|(?P<op>['^()*+\-/])|(?P<bad>\S)"
-)
+# Identifiers are exactly the names a Context can declare.  A token's kind
+# is told by its first character, and one that starts with no digit, letter
+# or operator is a stray character.
+_TOKEN_RE = re.compile(rf"\d+|{_IDENT_RE.pattern}|['^()*+\-/]|\S")
+_OPERATORS = frozenset("'^()*+-/")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) of every token, then an ``end`` token."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    for kind, tok, pos in tokens:
-        if kind == "bad":
-            raise ParseError(pos, "a token", repr(tok))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> list[str]:
+    """The text of every token, then "" for the end of input."""
+    tokens = _TOKEN_RE.findall(text)
+    stray = {t for t in set(tokens) if not (t.isdecimal() or "a" <= t[0] <= "z")} - _OPERATORS
+    if stray:
+        i = min(map(tokens.index, stray))
+        raise ParseError(_start(text, i), "a token", repr(tokens[i]))
+    tokens.append("")
     return tokens
 
 
+def _start(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts; computed only to report an error."""
+    return ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[i]
+
+
 class _Parser:
+    """Recursive descent over the token texts; every rule returns a term
+    map, packed key to canonical coefficient, and 0 is the empty map."""
+
     def __init__(self, text: str, ctx: Context):
+        self.text = text
         self.tokens = _tokenize(text)
         self.ctx = ctx
-        self.pos = 0
+        self.i = 0
         self.depth = 0
 
-    def take(self, symbol: str | None = None) -> tuple[str, str, int]:
-        """Consume the next token, which must be ``symbol`` when given."""
-        tok = self.tokens[self.pos]
-        if symbol is not None and tok[1] != symbol:
-            raise ParseError(tok[2], repr(symbol), tok[1] or "end of input")
-        self.pos += 1
-        return tok
+    def fail(self, expected: str, found: str | None = None) -> ParseError:
+        """A ParseError at the next token, which is what was found by default."""
+        if found is None:
+            found = self.tokens[self.i] or "end of input"
+        return ParseError(_start(self.text, self.i), expected, found)
 
-    def at(self, symbol: str) -> bool:
-        # Only operator tokens spell an operator, and ``end`` spells "".
-        return self.tokens[self.pos][1] == symbol
+    def take(self, symbol: str) -> None:
+        """Consume the next token, which must be ``symbol``."""
+        if self.tokens[self.i] != symbol:
+            raise self.fail(repr(symbol))
+        self.i += 1
 
     def parse_nat(self, what: str) -> int:
-        kind, text, pos = self.take()
-        if kind != "number":
-            raise ParseError(pos, what, text or "end of input")
+        text = self.tokens[self.i]
+        if not text.isdecimal():
+            raise self.fail(what)
         # Range is judged on the significant digits, so int() never sees
         # more than a machine word's 19 of them.  Leading zeros may be
         # written in any script.
@@ -84,85 +98,90 @@ class _Parser:
             digits = digits.lstrip("".join(d for d in set(digits) if int(d) == 0)) or "0"
         value = int(digits) if len(digits) <= 19 else _WORD_MAX + 1
         if value > _WORD_MAX:
-            raise ExponentOutOfRange(f"{what} {text} at position {pos}")
+            raise ExponentOutOfRange(f"{what} {text} at position {_start(self.text, self.i)}")
+        self.i += 1
         return value
 
-    def parse_expr(self) -> DiffPoly:
+    def parse_expr(self) -> dict[int, Scalar]:
         # The signed terms are summed once, at the end.
-        terms = []
-        sign = self.take()[1] if self.at("-") else "+"
+        tokens = self.tokens
+        pairs: list[tuple[int, Scalar]] = []
+        negate = tokens[self.i] == "-"
+        self.i += negate
         while True:
             term = self.parse_term()
-            terms.append(-term if sign == "-" else term)
-            if not (self.at("+") or self.at("-")):
-                return _sum(self.ctx, terms)
-            sign = self.take()[1]
+            pairs.extend([(key, -c) for key, c in term.items()] if negate else term.items())
+            sign = tokens[self.i]
+            if sign != "+" and sign != "-":
+                return _collect(pairs)
+            negate = sign == "-"
+            self.i += 1
 
-    def parse_term(self) -> DiffPoly:
+    def parse_term(self) -> dict[int, Scalar]:
         result = self.parse_factor()
-        while self.at("*"):
-            self.pos += 1
-            result = result * self.parse_factor()
+        while self.tokens[self.i] == "*":
+            self.i += 1
+            result = _product(result, self.parse_factor())
         return result
 
-    def parse_factor(self) -> DiffPoly:
+    def parse_factor(self) -> dict[int, Scalar]:
         base = self.parse_base()
-        if self.at("^"):
-            caret = self.take()
-            if self.at("("):
-                raise ParseError(caret[2] + 1, "an exponent", "'('")
-            return base ** self.parse_nat("an exponent")
-        return base
+        if self.tokens[self.i] != "^":
+            return base
+        self.i += 1
+        if self.tokens[self.i] == "(":
+            raise ParseError(_start(self.text, self.i - 1) + 1, "an exponent", "'('")
+        return _power(base, self.parse_nat("an exponent"))
 
-    def parse_base(self) -> DiffPoly:
-        kind, text, pos = self.tokens[self.pos]
-        if kind == "number":
-            return self.parse_rational()
-        if kind == "ident":
+    def parse_base(self) -> dict[int, Scalar]:
+        tok = self.tokens[self.i]
+        if "a" <= tok[:1] <= "z":
             return self.parse_derivvar()
-        if text == "(":
+        if tok.isdecimal():
+            return self.parse_rational()
+        if tok == "(":
             if self.depth == _MAX_NESTING:
-                raise ParseError(pos, f"at most {_MAX_NESTING} nested parentheses", "'('")
-            self.pos += 1
+                raise self.fail(f"at most {_MAX_NESTING} nested parentheses", "'('")
+            self.i += 1
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
             self.take(")")
             return inner
-        raise ParseError(pos, "a number, variable or '('", text or "end of input")
+        raise self.fail("a number, variable or '('")
 
-    def parse_rational(self) -> DiffPoly:
-        numerator = self.parse_nat("an integer")
-        if self.at("/"):
-            slash = self.take()
+    def parse_rational(self) -> dict[int, Scalar]:
+        value = self.parse_nat("an integer")
+        if self.tokens[self.i] == "/":
+            self.i += 1
             denominator = self.parse_nat("a denominator")
             if denominator == 0:
-                raise ParseError(slash[2] + 1, "a positive denominator", "0")
-            return self.ctx.constant(Fraction(numerator, denominator))
-        return self.ctx.constant(numerator)
+                raise ParseError(_start(self.text, self.i - 2) + 1, "a positive denominator", "0")
+            value = _scalar(Fraction(value, denominator))
+        return {0: value} if value else {}
 
-    def parse_derivvar(self) -> DiffPoly:
-        name = self.take()[1]
+    def parse_derivvar(self) -> dict[int, Scalar]:
+        name = self.tokens[self.i]
         self.ctx.index(name)  # UnknownIndeterminate for undeclared names
+        self.i += 1
         order = 0
-        while self.at("'"):
-            self.pos += 1
+        while self.tokens[self.i] == "'":
+            self.i += 1
             order += 1
-        if order == 0 and self.at("^") and self.tokens[self.pos + 1][1] == "(":
-            self.pos += 2
+        if order == 0 and self.tokens[self.i] == "^" and self.tokens[self.i + 1] == "(":
+            self.i += 2
             order = self.parse_nat("a derivative order")
             self.take(")")
-        return self.ctx.var(name, order)
+        return self.ctx._var_terms(name, order)
 
 
 def parse_poly(text: str, ctx: Context) -> DiffPoly:
     """Parse surface syntax into a differential polynomial."""
     parser = _Parser(text, ctx)
-    result = parser.parse_expr()
-    kind, trailing, pos = parser.tokens[parser.pos]
-    if kind != "end":
-        raise ParseError(pos, "end of input", trailing)
-    return result
+    terms = parser.parse_expr()
+    if parser.tokens[parser.i]:
+        raise parser.fail("end of input")
+    return DiffPoly._raw(ctx, terms)
 
 
 def render_var(var: DerivVar) -> str:
@@ -180,36 +199,30 @@ def _render_power(var: DerivVar, exponent: int) -> str:
     return f"{body}^{exponent}"
 
 
-def _render_monomial(
-    ranked: tuple[tuple[int, int, int], ...], magnitude: Fraction, ctx: Context
-) -> str:
-    # ``ranked`` is the descending (index, order, exp) tuple of monomial_key;
-    # reversed, it lists the factors by (declaration index, order).
-    if not ranked:
-        return str(magnitude)
-    parts = [
-        _render_power(DerivVar(ctx.names[i], order), exp)
-        for i, order, exp in reversed(ranked)
-    ]
-    if magnitude != 1:
-        parts.insert(0, str(magnitude))
-    return "*".join(parts)
-
-
 def format_poly(p: DiffPoly) -> str:
     """Canonical text: descending monomial order, reduced coefficients."""
     if p.is_zero:
         return "0"
-    ordered = sorted(
-        ((monomial_key(key, p.ctx), coeff) for key, coeff in p._terms.items()),
-        key=lambda kc: kc[0],
-        reverse=True,
-    )
+    names = p.ctx.names
+    # Distinct keys have distinct sort keys, so no two coefficients compare.
+    ordered = sorted(((monomial_key(key, p.ctx), c) for key, c in p._terms.items()), reverse=True)
+    rendered: dict[tuple[int, int, int], str] = {}  # each distinct factor once
     pieces: list[str] = []
-    for i, ((_, ranked), coeff) in enumerate(ordered):
-        body = _render_monomial(ranked, abs(coeff), p.ctx)
-        if i == 0:
-            pieces.append(f"-{body}" if coeff < 0 else body)
-        else:
+    for (_, ranked), coeff in ordered:
+        # ``ranked`` is the descending (index, order, exp) tuple of monomial_key;
+        # reversed, it lists the factors by (declaration index, order).
+        parts = []
+        for factor in reversed(ranked):
+            if factor not in rendered:
+                i, order, exp = factor
+                rendered[factor] = _render_power(DerivVar(names[i], order), exp)
+            parts.append(rendered[factor])
+        magnitude = abs(coeff)
+        if magnitude != 1 or not parts:
+            parts.insert(0, str(magnitude))
+        body = "*".join(parts)
+        if pieces:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            pieces.append(f"-{body}" if coeff < 0 else body)
     return "".join(pieces)

@@ -273,6 +273,21 @@ class TestExitCodes:
             assert err.startswith("error: exponent-out-of-range: ")
             assert err.count("\n") == 1
 
+    def test_derivative_order_past_the_last_field_is_out_of_range(self):
+        # A key would need 2^63 or 10^8 exponent fields; the bound is 4096.
+        start = time.perf_counter()
+        for order in ("9223372036854775807", "100000000"):
+            for argv in [
+                ["parse", "--vars", "y", f"y^({order})"],
+                ["resultant", "--vars", "u,y", "--first", "y", "--second", "u",
+                 "--leader", f"y^({order})"],
+            ]:
+                code, out, err = run(argv)
+                assert (code, out) == (1, "")
+                assert err.startswith("error: exponent-out-of-range: ")
+                assert err.count("\n") == 1
+        assert time.perf_counter() - start < 1
+
     def test_error_line_is_bounded(self):
         certificate = run([
             "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u",

@@ -401,6 +401,7 @@ class TestPackedKeys:
     def test_operations_match_reference(self, args):
         p, q, var = args
         assert (p * q).terms == _ref_mul(p, q)
+        assert (q**3).terms == _ref_mul(q, DiffPoly(q.ctx, _ref_mul(q, q)))
         assert p.delta().terms == _ref_delta(p)
         assert p.partial(var).terms == _ref_partial(p, var)
         assert [c.terms for c in p.coefficients(var)] == _ref_coefficients(p, var)
@@ -438,6 +439,20 @@ class TestPackedKeys:
         assert str(P(f"(y')^{top}").delta()) == f"{top}*(y')^9223372036854775806*y''"
         with pytest.raises(ExponentOutOfRange):
             DiffPoly(CTX, {_power(DerivVar("y", 0), 2**63): 1})
+
+    def test_field_numbers_stay_below_4096(self):
+        # Over (u, y), y^(2047) sits in field 4095, the last one.
+        last = CTX.var("y", 2047)
+        assert str(last) == "y^(2047)" and parse_poly(str(last), CTX) == last
+        assert CTX.var("y", 2046).delta() == last
+        for build in [
+            lambda: CTX.var("y", 2048),
+            lambda: CTX.var("u", 2047).delta(),
+            lambda: DiffPoly(CTX, {_power(DerivVar("u", 2048)): 1}),
+            lambda: P("y^(100000000)"),
+        ]:
+            with pytest.raises(ExponentOutOfRange):
+                build()
 
     def test_undeclared_name_rejected_at_construction(self):
         with pytest.raises(UnknownIndeterminate):

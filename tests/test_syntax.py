@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings, strategies as st
 
 from diffalg import (
     Context,
@@ -19,8 +19,10 @@ from diffalg import (
     format_poly,
     parse_poly,
 )
+from diffalg.polynomials import monomial_key
+from diffalg.syntax import _render_power
 
-from test_polynomials import polys
+from test_polynomials import WIDE, _polys_over, polys
 
 CTX = Context("u", "y")
 
@@ -226,3 +228,145 @@ class TestRoundTrip:
     def test_fixture_strings_are_stable(self):
         for text in ("(y')^2 - 4*y", "u*y' - 1", "2*y'*y'' - 4*y'", "0", "u^2"):
             assert format_poly(P(text)) == text
+
+
+class TestPinnedEdgeCases:
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("0*y^9223372036854775807*y", "0"),
+            ("0^0", "1"),
+            ("(y - y)^0", "1"),
+            ("(1/2*y')^3", "1/8*(y')^3"),
+        ],
+    )
+    def test_value(self, text, printed):
+        assert format_poly(P(text)) == printed
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y^9223372036854775807*y*0",
+            "(y^4611686018427387904)^2",
+            "(2*u*y^4611686018427387904)^2",
+            "y^9223372036854775807*y^9223372036854775807*y^2",
+        ],
+    )
+    def test_exponent_out_of_range(self, text):
+        with pytest.raises(ExponentOutOfRange):
+            P(text)
+
+
+# Expression trees rendered to surface text, against the same tree evaluated
+# with DiffPoly arithmetic.  Levels: a sum, a product, a power, a base; a
+# child below its operand's level is wrapped in parentheses.
+SUM, PRODUCT, POWER, BASE = range(4)
+
+
+def _leaves(ctx: Context):
+    number = st.one_of(
+        st.integers(0, 20), st.fractions(min_value=0, max_value=20, max_denominator=6)
+    ).map(lambda q: ("num", q))
+    var = st.tuples(
+        st.just("var"), st.sampled_from(ctx.names), st.integers(0, 5), st.booleans()
+    )
+    return number | var
+
+
+def _trees(ctx: Context):
+    return st.recursive(
+        _leaves(ctx),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul"]), sub, sub),
+            st.tuples(st.just("neg"), sub),
+            st.tuples(st.just("pow"), sub, st.integers(0, 3)),
+            st.tuples(st.just("paren"), sub),
+        ),
+        max_leaves=8,
+    )
+
+
+def _render(tree, level: int = SUM) -> str:
+    kind = tree[0]
+    if kind == "num":
+        text, own = str(tree[1]), BASE
+    elif kind == "var":
+        _, name, order, caret = tree
+        text, own = (f"{name}^({order})" if caret else name + "'" * order), BASE
+    elif kind in ("add", "sub"):
+        op = " + " if kind == "add" else " - "
+        text, own = _render(tree[1], SUM) + op + _render(tree[2], PRODUCT), SUM
+    elif kind == "neg":
+        text, own = "-" + _render(tree[1], PRODUCT), SUM
+    elif kind == "mul":
+        text, own = _render(tree[1], PRODUCT) + "*" + _render(tree[2], POWER), PRODUCT
+    elif kind == "pow":
+        text, own = f"{_render(tree[1], BASE)}^{tree[2]}", POWER
+    else:
+        text, own = f"({_render(tree[1])})", BASE
+    return text if own >= level else f"({text})"
+
+
+def _evaluate(tree, ctx: Context) -> DiffPoly:
+    kind = tree[0]
+    if kind == "num":
+        return ctx.constant(tree[1])
+    if kind == "var":
+        return ctx.var(tree[1], tree[2])
+    if kind == "add":
+        return _evaluate(tree[1], ctx) + _evaluate(tree[2], ctx)
+    if kind == "sub":
+        return _evaluate(tree[1], ctx) + -_evaluate(tree[2], ctx)
+    if kind == "neg":
+        return -_evaluate(tree[1], ctx)
+    if kind == "mul":
+        return _evaluate(tree[1], ctx) * _evaluate(tree[2], ctx)
+    if kind == "pow":
+        return _evaluate(tree[1], ctx) ** tree[2]
+    return _evaluate(tree[1], ctx)
+
+
+def _size_bound(tree) -> int:
+    """An upper bound on the terms of the evaluated tree."""
+    kind = tree[0]
+    if kind in ("num", "var"):
+        return 1
+    if kind in ("add", "sub"):
+        return _size_bound(tree[1]) + _size_bound(tree[2])
+    if kind == "mul":
+        return _size_bound(tree[1]) * _size_bound(tree[2])
+    if kind == "pow":
+        return _size_bound(tree[1]) ** tree[2]
+    return _size_bound(tree[1])
+
+
+class TestParserOracle:
+    """parse_poly against DiffPoly arithmetic on random expression trees."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(_trees(CTX).map(lambda t: (CTX, t)), _trees(WIDE).map(lambda t: (WIDE, t))))
+    def test_parse_equals_evaluation(self, args):
+        ctx, tree = args
+        assume(_size_bound(tree) <= 500)
+        assert parse_poly(_render(tree), ctx) == _evaluate(tree, ctx)
+
+
+def _reference_format(p: DiffPoly) -> str:
+    """Terms sorted by monomial_key, each factor rendered by _render_power."""
+    ctx = p.ctx
+    pieces = []
+    for key in sorted(p._terms, key=lambda key: monomial_key(key, ctx), reverse=True):
+        coeff, mono = p._terms[key], ctx._unpack(key)
+        factors = sorted(mono.variables(), key=lambda v: (ctx.index(v.name), v.order))
+        parts = [_render_power(v, mono.exponent(v)) for v in factors]
+        if abs(coeff) != 1 or not parts:
+            parts.insert(0, str(abs(coeff)))
+        sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
+        pieces.append(sign + "*".join(parts))
+    return "".join(pieces) or "0"
+
+
+class TestFormatOracle:
+    @given(st.one_of(_polys_over(CTX, 5)[1], _polys_over(WIDE, 40)[1]))
+    def test_format_equals_reference(self, p):
+        assert format_poly(p) == _reference_format(p)
