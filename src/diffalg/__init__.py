@@ -17,7 +17,6 @@ from .errors import (
     ReducesIntoIdeal,
     UnknownIndeterminate,
     VanishingResultant,
-    ZeroArgument,
     ZeroPolynomial,
     ZeroTarget,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "VanishingResultant",
     "VerificationResult",
     "WitnessCase",
-    "ZeroArgument",
     "ZeroPolynomial",
     "ZeroTarget",
     "as_leader_poly",

@@ -102,10 +102,11 @@ def _main_name(args, ctx: Context) -> str:
 
 def _parse_leader(text: str, ctx: Context) -> DerivVar:
     p = parse_poly(text, ctx)
-    terms = list(p.terms.items())
-    if len(terms) == 1 and terms[0][1] == 1 and terms[0][0].degree == 1:
-        (var,) = terms[0][0].variables()
-        return var
+    found = p.variables()
+    if len(found) == 1:
+        (var,) = found
+        if p == ctx.var(var.name, var.order):
+            return var
     raise ParseError(0, "a single derivative variable", text)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstantPolynomial, ZeroArgument, ZeroPolynomial
+from .errors import ConstantPolynomial, ZeroPolynomial
 from .polynomials import Context, DerivVar, DiffPoly, exact_div
 from .ranking import rank_profile, separant
 
@@ -171,8 +171,6 @@ def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
     """
     if p.variable != q.variable:
         raise ValueError("leader polynomials use different variables")
-    if p.coefficients[0].is_zero or q.coefficients[0].is_zero:
-        raise ZeroArgument("resultant arguments must be nonzero")
     dp, dq = p.degree, q.degree
     if dp == 0 and dq == 0:
         return p.ctx.one()

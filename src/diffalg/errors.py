@@ -48,7 +48,8 @@ class UnknownIndeterminate(InputError):
 
 
 class ExponentOutOfRange(InputError):
-    """A number or exponent reaches 2**63, or a derivative lies past field 4095."""
+    """A number or exponent reaches 2**63, a derivative lies past field 4095,
+    or a coefficient has more decimal digits than ``str()`` converts."""
 
 
 class DocumentError(InputError):
@@ -69,10 +70,6 @@ class ConstantPolynomial(DomainError):
 
 class ConstantDivisor(DomainError):
     """The divisor is free of the main indeterminate."""
-
-
-class ZeroArgument(DomainError):
-    """A resultant argument is zero."""
 
 
 class ZeroTarget(DomainError):

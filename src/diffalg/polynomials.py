@@ -21,7 +21,8 @@ declare equal names and so share one layout.  Every exponent stays below
 derivation that would set one raises ExponentOutOfRange.  Field numbers
 stay below 4096, so a key holds at most 32 KiB; a derivative past that
 raises ExponentOutOfRange too.  ``DiffPoly.terms`` is a read-only view of
-the term map that shows each key as a ``Monomial``.
+the term map that shows each key as a ``Monomial``, the frozenset of its
+(DerivVar, exponent) pairs; ``DiffPoly(ctx, terms)`` packs them back.
 """
 
 from __future__ import annotations
@@ -162,8 +163,10 @@ class Context:
         return _FIELD * field
 
     def _pack(self, mono: Monomial) -> int:
+        if not isinstance(mono, Monomial):
+            raise TypeError(f"a term key must be a Monomial, not {type(mono).__name__}")
         key = 0
-        for var, exp in mono._exps.items():
+        for var, exp in mono:
             if exp >= _GUARD:
                 raise ExponentOutOfRange(f"exponent {exp} of {var}")
             key += exp << self._offset(var)
@@ -171,8 +174,8 @@ class Context:
 
     def _unpack(self, key: int) -> Monomial:
         n = len(self.names)
-        return Monomial._make(
-            {DerivVar(self.names[f % n], f // n): e for f, e in enumerate(_exponents(key)) if e}
+        return Monomial(
+            (DerivVar(self.names[f % n], f // n), e) for f, e in enumerate(_exponents(key)) if e
         )
 
     def _var_terms(self, name: str, order: int) -> dict[int, Scalar]:
@@ -187,95 +190,31 @@ class Context:
         return DiffPoly._raw(self, self._var_terms(name, order))
 
     def constant(self, value: Scalar) -> DiffPoly:
-        return DiffPoly(self, {Monomial.UNIT: value})
+        value = _scalar(value)
+        return DiffPoly._raw(self, {0: value} if value else {})
 
     def zero(self) -> DiffPoly:
-        return DiffPoly(self, {})
+        return DiffPoly._raw(self, {})
 
     def one(self) -> DiffPoly:
         return self.constant(1)
 
 
-class Monomial:
-    """A finite product of derivative variables with positive exponents.
+class Monomial(frozenset):
+    """A finite product of derivative variables: the frozenset of its
+    (DerivVar, exponent) pairs, so ``dict(m)`` maps each variable to its
+    exponent.  Zero exponents are dropped before the checks; a negative one
+    or a repeated variable raises ValueError.  ``Monomial()`` is the unit."""
 
-    The factors live in a private map from variable to exponent.  Equality
-    and the hash depend only on that map, not on the order in which the
-    factors were given.  The empty product is the unit monomial.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_exps", "_hash")
-
-    def __init__(self, factors: Iterable[tuple[DerivVar, int]] = ()):
-        exps: dict[DerivVar, int] = {}
-        for var, exp in factors:
-            if exp < 0:
-                raise ValueError(f"negative exponent for {var}")
-            if exp:
-                if var in exps:
-                    raise ValueError("repeated variable in monomial factors")
-                exps[var] = exp
-        self._exps = exps
-        self._hash = hash(frozenset(exps.items()))
-
-    @classmethod
-    def _make(cls, exps: dict[DerivVar, int]) -> Monomial:
-        # Internal fast path: exponents positive; the result owns ``exps``.
-        m = object.__new__(cls)
-        m._exps = exps
-        m._hash = hash(frozenset(exps.items()))
-        return m
-
-    UNIT: Monomial  # assigned below
-
-    @property
-    def degree(self) -> int:
-        return sum(self._exps.values())
-
-    def exponent(self, var: DerivVar) -> int:
-        return self._exps.get(var, 0)
-
-    def variables(self) -> Iterator[DerivVar]:
-        return iter(self._exps)
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        a, b = self._exps, other._exps
-        if not b:
-            return self
-        if not a:
-            return other
-        out = a.copy()
-        for v, e in b.items():
-            out[v] = out.get(v, 0) + e
-        return Monomial._make(out)
-
-    def divide(self, other: Monomial) -> Monomial | None:
-        """Quotient monomial, or None when ``other`` does not divide."""
-        left = self._exps.copy()
-        for v, e in other._exps.items():
-            have = left.get(v, 0)
-            if have < e:
-                return None
-            if have == e:
-                del left[v]
-            else:
-                left[v] = have - e
-        return Monomial._make(left)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self._exps == other._exps
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if not self._exps:
-            return "Monomial()"
-        body = ", ".join(f"({v.name!r},{v.order})^{e}" for v, e in self._exps.items())
-        return f"Monomial[{body}]"
-
-
-Monomial.UNIT = Monomial()
+    def __new__(cls, factors: Iterable[tuple[DerivVar, int]] = ()):
+        pairs = [(var, exp) for var, exp in factors if exp]
+        if any(exp < 0 for _, exp in pairs):
+            raise ValueError("negative exponent in monomial factors")
+        if len(dict(pairs)) < len(pairs):
+            raise ValueError("repeated variable in monomial factors")
+        return super().__new__(cls, pairs)
 
 
 def monomial_key(key: int, ctx: Context):
@@ -330,7 +269,7 @@ class _Terms(Mapping):
     def __getitem__(self, mono: Monomial) -> Scalar:
         try:
             return self._terms[self._ctx._pack(mono)]
-        except (AttributeError, DiffAlgError, ValueError):
+        except (AttributeError, TypeError, DiffAlgError, ValueError):
             raise KeyError(mono) from None
 
     def __iter__(self) -> Iterator[Monomial]:
@@ -385,7 +324,7 @@ class DiffPoly:
                 raise ValueError("operands declare different indeterminates")
             return other
         if isinstance(other, (int, Fraction)):
-            return DiffPoly(self.ctx, {Monomial.UNIT: other})
+            return self.ctx.constant(other)
         return None
 
     def __add__(self, other) -> DiffPoly:
@@ -426,7 +365,7 @@ class DiffPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = DiffPoly(self.ctx, {Monomial.UNIT: other})
+            other = self.ctx.constant(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
         return self.ctx == other.ctx and self._terms == other._terms
@@ -438,7 +377,7 @@ class DiffPoly:
 
     def variables(self) -> set[DerivVar]:
         # A field of the OR of all keys is nonzero where any key's is.
-        return set(self.ctx._unpack(reduce(or_, self._terms, 0)).variables())
+        return set(dict(self.ctx._unpack(reduce(or_, self._terms, 0))))
 
     def order_in(self, name: str) -> int | None:
         """Largest derivative order of ``name`` present, or None if absent."""
@@ -503,7 +442,7 @@ class DiffPoly:
         ctx = self.ctx
         pieces = []
         for key, c in self._terms.items():
-            listed = [(v, e) for v, e in ctx._unpack(key)._exps.items() if v in values]
+            listed = [(v, e) for v, e in ctx._unpack(key) if v in values]
             piece = DiffPoly._raw(ctx, {key - sum(e << ctx._offset(v) for v, e in listed): c})
             for var, exp in listed:
                 piece = piece * values[var] ** exp

@@ -28,6 +28,7 @@ polynomial prints as "0".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ExponentOutOfRange, ParseError
@@ -219,7 +220,11 @@ def format_poly(p: DiffPoly) -> str:
             parts.append(rendered[factor])
         magnitude = abs(coeff)
         if magnitude != 1 or not parts:
-            parts.insert(0, str(magnitude))
+            try:
+                parts.insert(0, str(magnitude))
+            except ValueError:  # more digits than int-to-str conversion allows
+                limit = sys.get_int_max_str_digits()
+                raise ExponentOutOfRange(f"a coefficient of more than {limit} digits") from None
         body = "*".join(parts)
         if pieces:
             pieces.append(f" - {body}" if coeff < 0 else f" + {body}")

@@ -75,7 +75,7 @@ def random_irreducible(rng: random.Random, ctx: Context, main: str) -> DiffPoly:
         kept = {
             mono: coeff
             for mono, coeff in tail.terms.items()
-            if all(v.name != main or v.order < order for v in mono.variables())
+            if all(v.name != main or v.order < order for v in dict(mono))
         }
         return scale * leader + DiffPoly(ctx, kept)
     b = rng.randint(-6, 6)

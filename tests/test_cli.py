@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
+
+import pytest
 
 from diffalg.cli import run
 
@@ -20,6 +23,9 @@ from diffalg import (
 )
 
 CTX = Context("u", "y")
+
+# str() refuses an int of more digits than this; 0 means no limit.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 WITNESS_FIXTURE = [
     "witness", "--vars", "u,y", "--target", "y'", "--minimal", "u*y' - 1",
@@ -257,6 +263,24 @@ class TestExitCodes:
             assert err.startswith("error: exponent-out-of-range:")
             assert err.count("\n") == 1
 
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="int-to-str conversion has no limit")
+    def test_coefficient_past_the_digit_limit_is_out_of_range(self):
+        for argv in [
+            ["parse", "--vars", "y", "2^20000"],
+            ["parse", "--vars", "y", "3^9999*y"],
+            ["parse", "--vars", "y", f"10^{INT_DIGITS}"],
+            ["reduce", "--vars", "u,y", "--dividend", "2^20000*y''", "--divisor", "y' - u"],
+        ]:
+            code, out, err = run(argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: exponent-out-of-range:")
+            assert err.count("\n") == 1
+
+    @pytest.mark.skipif(INT_DIGITS == 0, reason="int-to-str conversion has no limit")
+    def test_coefficient_at_the_digit_limit_prints(self):
+        code, out, err = run(["parse", "--vars", "y", f"10^{INT_DIGITS - 1}"])
+        assert (code, out, err) == (0, "1" + "0" * (INT_DIGITS - 1) + "\n", "")
+
     def test_computed_exponent_past_a_word_is_out_of_range(self):
         # Each exponent typed is 2^63 - 1; each computed one would be 2^63,
         # which a printed certificate could not state for verify to read.
@@ -375,6 +399,14 @@ class TestExitCodes:
             code, out, err = run(["verify"], certificate.replace("\nm: 0\n", f"\nm: {alias}\n"))
             assert (code, out) == (1, "")
             assert err.startswith("error: document-error:") and err.count("\n") == 1
+
+    def test_leader_must_be_one_derivative_variable(self):
+        command = ["resultant", "--vars", "u,y", "--first", "y", "--second", "u"]
+        for leader in ["y^2", "2*y", "u*y", "y + u", "0", "1"]:
+            assert_one_parse_error(command + ["--leader", leader], "")
+        # The "=" form, or argparse would read "-y" as a flag.
+        assert_one_parse_error(command + ["--leader=-y"], "")
+        assert run(command + ["--leader", "1*y"]) == (0, "u\n", "")
 
     def test_undeclared_indeterminate_is_exit_one(self):
         code, _, err = run(["parse", "--vars", "u,y", "w"])

@@ -118,12 +118,12 @@ class TestRingOps:
     def test_structural_equality_is_mathematical(self):
         assert P("y + y") == P("2*y")
         assert P("y - y").is_zero
-        assert DiffPoly(CTX, {Monomial.UNIT: Fraction(0)}).is_zero
+        assert DiffPoly(CTX, {Monomial(): Fraction(0)}).is_zero
 
     def test_zero_coefficients_never_stored(self):
         square = Monomial(((DerivVar("y", 1), 2),))
         assert DiffPoly(CTX, {square: 0}).is_zero
-        assert DiffPoly(CTX, {square: 0, Monomial.UNIT: 3}).terms == {Monomial.UNIT: 3}
+        assert DiffPoly(CTX, {square: 0, Monomial(): 3}).terms == {Monomial(): 3}
         assert (P("y") + P("u") - P("y")).terms == P("u").terms
 
 
@@ -209,7 +209,7 @@ class TestSubstitute:
 
 class TestMonomialAndContext:
     def test_zero_exponents_dropped(self):
-        assert Monomial(((DerivVar("y", 0), 0),)) == Monomial.UNIT
+        assert Monomial(((DerivVar("y", 0), 0),)) == Monomial()
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -229,20 +229,6 @@ class TestMonomialAndContext:
         second = Monomial(((y1, 1), (u, 2)))
         assert first == second
         assert hash(first) == hash(second)
-
-    @given(monomials, monomials)
-    def test_product_commutes(self, a, b):
-        assert a * b == b * a
-        assert hash(a * b) == hash(b * a)
-
-    @given(monomials, monomials)
-    def test_divide_undoes_product(self, a, b):
-        assert (a * b).divide(b) == a
-
-    def test_divide_rejects_non_divisor(self):
-        u, y = DerivVar("u", 0), DerivVar("y", 0)
-        assert Monomial(((u, 1), (y, 1))).divide(Monomial(((y, 2),))) is None
-        assert Monomial(((u, 1),)).divide(Monomial(((y, 1),))) is None
 
     def test_context_validation(self):
         with pytest.raises(ValueError):
@@ -286,7 +272,7 @@ class TestCoefficientTypes:
         assert type(coeff) is Fraction and coeff == Fraction(1, 2)
 
     def test_integral_fraction_stored_as_int(self):
-        (coeff,) = DiffPoly(CTX, {Monomial.UNIT: Fraction(6, 2)}).terms.values()
+        (coeff,) = DiffPoly(CTX, {Monomial(): Fraction(6, 2)}).terms.values()
         assert type(coeff) is int and coeff == 3
         assert _all_ints(P("6/2*y + 4/1")) and _all_ints(CTX.constant(Fraction(3)))
 
@@ -294,7 +280,7 @@ class TestCoefficientTypes:
         # Fraction arithmetic may leave an integral value as a Fraction.
         held = P("1/2") * 6
         assert type(next(iter(held.terms.values()))) is Fraction
-        assert held == DiffPoly(CTX, {Monomial.UNIT: 3}) == 3
+        assert held == DiffPoly(CTX, {Monomial(): 3}) == 3
         assert held.terms == CTX.constant(3).terms
 
     def test_ring_operations_keep_ints(self):
@@ -334,6 +320,14 @@ class TestCoefficientTypes:
 
 # Reference arithmetic on ``terms`` views with plain dicts of Monomials.
 
+def _add_exponents(mono: Monomial, changes) -> Monomial:
+    """``mono`` with each (variable, change) pair added to its exponents."""
+    exps = dict(mono)
+    for var, change in changes:
+        exps[var] = exps.get(var, 0) + change
+    return Monomial(exps.items())
+
+
 def _ref_collect(pairs) -> dict:
     acc: dict = {}
     for mono, c in pairs:
@@ -347,31 +341,33 @@ def _power(var: DerivVar, exp: int = 1) -> Monomial:
 
 def _ref_mul(p: DiffPoly, q: DiffPoly) -> dict:
     return _ref_collect(
-        (m1 * m2, c1 * c2) for m1, c1 in p.terms.items() for m2, c2 in q.terms.items()
+        (_add_exponents(m1, m2), c1 * c2)
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()
     )
 
 
 def _ref_delta(p: DiffPoly) -> dict:
     return _ref_collect(
-        (mono.divide(_power(v)) * _power(DerivVar(v.name, v.order + 1)), c * mono.exponent(v))
+        (_add_exponents(mono, [(v, -1), (DerivVar(v.name, v.order + 1), 1)]), c * e)
         for mono, c in p.terms.items()
-        for v in mono.variables()
+        for v, e in mono
     )
 
 
 def _ref_partial(p: DiffPoly, var: DerivVar) -> dict:
     return _ref_collect(
-        (mono.divide(_power(var)), c * mono.exponent(var))
+        (_add_exponents(mono, [(var, -1)]), c * e)
         for mono, c in p.terms.items()
-        if mono.exponent(var)
+        if (e := dict(mono).get(var))
     )
 
 
 def _ref_coefficients(p: DiffPoly, var: DerivVar) -> list[dict]:
     by_power: dict[int, dict] = {}
     for mono, c in p.terms.items():
-        e = mono.exponent(var)
-        by_power.setdefault(e, {})[mono.divide(_power(var, e))] = c
+        e = dict(mono).get(var, 0)
+        by_power.setdefault(e, {})[_add_exponents(mono, [(var, -e)])] = c
     return [by_power.get(e, {}) for e in range(max(by_power, default=-1), -1, -1)]
 
 
@@ -405,11 +401,12 @@ class TestPackedKeys:
         assert p.delta().terms == _ref_delta(p)
         assert p.partial(var).terms == _ref_partial(p, var)
         assert [c.terms for c in p.coefficients(var)] == _ref_coefficients(p, var)
-        assert p.degree_in(var) == max((m.exponent(var) for m in p.terms), default=0)
-        assert p.variables() == {v for m in p.terms for v in m.variables()}
+        assert p.degree_in(var) == max((dict(m).get(var, 0) for m in p.terms), default=0)
+        assert p.variables() == {v for m in p.terms for v in dict(m)}
         if not q.is_zero:
             assert exact_div(DiffPoly(p.ctx, _ref_mul(p, q)), q).terms == p.terms
         assert parse_poly(str(p), p.ctx) == p
+        assert DiffPoly(p.ctx, p.terms) == p
 
     def test_borrows_never_fake_divisibility(self):
         for p, q in [("u*y", "y^2"), ("u", "y"), ("y''", "y'")]:
@@ -454,6 +451,11 @@ class TestPackedKeys:
             with pytest.raises(ExponentOutOfRange):
                 build()
 
+    def test_plain_frozenset_key_rejected(self):
+        # Only the Monomial constructor checks exponents and repeats.
+        with pytest.raises(TypeError):
+            DiffPoly(CTX, {frozenset({(DerivVar("y", 0), 1)}): 1})
+
     def test_undeclared_name_rejected_at_construction(self):
         with pytest.raises(UnknownIndeterminate):
             DiffPoly(CTX, {_power(DerivVar("w", 0)): 1})
@@ -464,7 +466,10 @@ class TestPackedKeys:
         assert isinstance(terms, Mapping) and len(terms) == 2
         assert terms[uy1] == 3 and sorted(terms.values()) == [-1, 3]
         assert _power(DerivVar("y", 0)) in terms
-        for absent in (_power(DerivVar("w", 0)), _power(DerivVar("y", 0), 2), "y"):
+        absent_keys = (
+            _power(DerivVar("w", 0)), _power(DerivVar("y", 0), 2), "y", DerivVar("y", 0), 1,
+        )
+        for absent in absent_keys:
             assert absent not in terms
         with pytest.raises(TypeError):
             terms[uy1] = 1

@@ -269,7 +269,7 @@ class TestRandomCorpus:
         # the one the expanded sides give, for true certificates and for the
         # same certificates with m + 1 or n + 1.
         def degree(p):
-            return max((mono.degree for mono in p.terms), default=-1)
+            return max((sum(dict(mono).values()) for mono in p.terms), default=-1)
 
         guarded = 0
         for F, A in self._pairs(100, seed=137):
