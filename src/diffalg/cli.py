@@ -168,10 +168,8 @@ def _dispatch(args, stdin_text: str) -> str:
         bound = degree_bound(parse_poly(args.poly, ctx), main)
         return ("unbounded" if bound is None else str(bound)) + "\n"
 
-    if args.command in ("parse", "format"):
-        return format_poly(parse_poly(args.expr, ctx)) + "\n"
-
-    raise _UsageError(f"unknown command {args.command!r}")
+    # parse and format; argparse has refused every other command name.
+    return format_poly(parse_poly(args.expr, ctx)) + "\n"
 
 
 def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:

@@ -99,12 +99,15 @@ def _nat(key: str, text: str) -> int:
     return value
 
 
-def _pop_context(fields: dict[str, str]) -> Context:
+def _pop_header(fields: dict[str, str]) -> tuple[Context, str]:
     names = [name.strip() for name in _pop(fields, "vars").split(",")]
     try:
-        return Context(*names)
+        ctx = Context(*names)
     except ValueError as exc:
         raise DocumentError(f"key 'vars': {exc}") from None
+    main = _pop(fields, "main")
+    ctx.index(main)
+    return ctx, main
 
 
 def _build_certificate(
@@ -144,9 +147,7 @@ def _build_certificate(
 
 def parse_certificate(text: str) -> ReductionCertificate:
     fields = _parse_lines(text)
-    ctx = _pop_context(fields)
-    main = _pop(fields, "main")
-    ctx.index(main)
+    ctx, main = _pop_header(fields)
     cert = _build_certificate(fields, ctx, main)
     if fields:
         raise DocumentError(f"unexpected keys: {', '.join(sorted(fields))}")
@@ -155,9 +156,7 @@ def parse_certificate(text: str) -> ReductionCertificate:
 
 def parse_witness(text: str) -> ChevalleyWitness:
     fields = _parse_lines(text)
-    ctx = _pop_context(fields)
-    main = _pop(fields, "main")
-    ctx.index(main)
+    ctx, main = _pop_header(fields)
     case_text = _pop(fields, "case")
     try:
         case = WitnessCase(case_text)
@@ -173,6 +172,8 @@ def parse_witness(text: str) -> ChevalleyWitness:
         b1 = parse_poly(_pop(fields, "B1"), ctx)
         n = _nat("n", _pop(fields, "n"))
         cert = _build_certificate(fields, ctx, main, prefix="certificate.")
+        if b1 != cert.remainder or n != cert.n:
+            raise DocumentError("'B1' or 'n' differs from its certificate's 'G' or 'n'")
         witness = ChevalleyWitness(
             case=case, main=main, a=a, a1=a1, a2=a2, a3=a3, b1=b1, n=n,
             weak_certificate=cert,

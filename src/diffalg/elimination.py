@@ -21,10 +21,11 @@ total for degree-1 divisors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .errors import ConstantPolynomial, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .polynomials import Context, DerivVar, DiffPoly, exact_div
-from .ranking import rank_profile, separant
+from .ranking import _proper_profile, separant
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,12 @@ def sylvester_matrix(p: LeaderPoly, q: LeaderPoly) -> list[list[DiffPoly]]:
     dp, dq = p.degree, q.degree
     if dp < 1 or dq < 1:
         raise ValueError("Sylvester matrix needs both degrees >= 1")
-    ctx = p.ctx
-    size = dp + dq
-    zero = ctx.zero()
+    zero = p.ctx.zero()
     rows: list[list[DiffPoly]] = []
     for i in range(dq):
         rows.append([zero] * i + list(p.coefficients) + [zero] * (dq - 1 - i))
     for j in range(dp):
         rows.append([zero] * j + list(q.coefficients) + [zero] * (dp - 1 - j))
-    assert all(len(row) == size for row in rows)
     return rows
 
 
@@ -121,14 +119,11 @@ def det_cofactor(matrix: list[list[DiffPoly]], ctx: Context) -> DiffPoly:
     expansion stays usable up to the matrix sizes the tests exercise.
     """
     n = len(matrix)
-    memo: dict[tuple[int, ...], DiffPoly] = {}
 
+    @cache
     def expand(row: int, cols: tuple[int, ...]) -> DiffPoly:
         if not cols:
             return ctx.one()
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
         total = ctx.zero()
         for i, c in enumerate(cols):
             entry = matrix[row][c]
@@ -136,7 +131,6 @@ def det_cofactor(matrix: list[list[DiffPoly]], ctx: Context) -> DiffPoly:
                 continue
             term = entry * expand(row + 1, cols[:i] + cols[i + 1 :])
             total = total - term if i % 2 else total + term
-        memo[cols] = total
         return total
 
     return expand(0, tuple(range(n)))
@@ -172,8 +166,6 @@ def resultant(p: LeaderPoly, q: LeaderPoly) -> DiffPoly:
     if p.variable != q.variable:
         raise ValueError("leader polynomials use different variables")
     dp, dq = p.degree, q.degree
-    if dp == 0 and dq == 0:
-        return p.ctx.one()
     if dp == 0:
         return p.coefficients[0] ** dq
     if dq == 0:
@@ -224,8 +216,5 @@ def discriminant(p: DiffPoly, main: str) -> DiffPoly:
     polynomial in its leader; its order in ``main`` is strictly below the
     order of ``p``.
     """
-    profile = rank_profile(p, main)
-    if profile.is_constant:
-        raise ConstantPolynomial(f"{p} is free of {main!r}")
-    leader = profile.leader
+    leader = _proper_profile(p, main).leader
     return resultant(as_leader_poly(p, leader), as_leader_poly(separant(p, main), leader))

@@ -184,9 +184,8 @@ class Context:
     # Convenience constructors.
 
     def var(self, name: str, order: int = 0) -> DiffPoly:
-        self.index(name)
-        if order < 0:
-            raise ValueError("derivative order must be non-negative")
+        if not isinstance(order, int) or order < 0:
+            raise ValueError("derivative order must be a non-negative int")
         return DiffPoly._raw(self, self._var_terms(name, order))
 
     def constant(self, value: Scalar) -> DiffPoly:
@@ -203,15 +202,22 @@ class Context:
 class Monomial(frozenset):
     """A finite product of derivative variables: the frozenset of its
     (DerivVar, exponent) pairs, so ``dict(m)`` maps each variable to its
-    exponent.  Zero exponents are dropped before the checks; a negative one
-    or a repeated variable raises ValueError.  ``Monomial()`` is the unit."""
+    exponent.  Zero exponents are dropped before the checks: a variable not
+    a DerivVar of int order, or an exponent not an int, raises TypeError; a
+    negative order or exponent, or a repeated variable, raises ValueError.
+    ``Monomial()`` is the unit."""
 
     __slots__ = ()
 
     def __new__(cls, factors: Iterable[tuple[DerivVar, int]] = ()):
         pairs = [(var, exp) for var, exp in factors if exp]
-        if any(exp < 0 for _, exp in pairs):
-            raise ValueError("negative exponent in monomial factors")
+        for var, exp in pairs:
+            if not isinstance(var, DerivVar) or not isinstance(var.order, int):
+                raise TypeError(f"monomial variable {var!r} is not a DerivVar of int order")
+            if not isinstance(exp, int):
+                raise TypeError(f"exponent {exp!r} of {var} is not an int")
+            if var.order < 0 or exp < 0:
+                raise ValueError(f"negative order or exponent in monomial factor {var}")
         if len(dict(pairs)) < len(pairs):
             raise ValueError("repeated variable in monomial factors")
         return super().__new__(cls, pairs)
@@ -269,7 +275,7 @@ class _Terms(Mapping):
     def __getitem__(self, mono: Monomial) -> Scalar:
         try:
             return self._terms[self._ctx._pack(mono)]
-        except (AttributeError, TypeError, DiffAlgError, ValueError):
+        except (TypeError, DiffAlgError, ValueError):
             raise KeyError(mono) from None
 
     def __iter__(self) -> Iterator[Monomial]:

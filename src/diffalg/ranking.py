@@ -50,11 +50,17 @@ def rank_profile(p: DiffPoly, main: str) -> RankProfile:
     return RankProfile(order=r, degree=p.degree_in(leader), leader=leader)
 
 
-def initial(p: DiffPoly, main: str) -> DiffPoly:
-    """Coefficient of the top power of the leader."""
+def _proper_profile(p: DiffPoly, main: str) -> RankProfile:
+    """Rank of ``p`` relative to ``main``; ``p`` must involve ``main``."""
     profile = rank_profile(p, main)
     if profile.is_constant:
         raise ConstantPolynomial(f"{p} is free of {main!r}")
+    return profile
+
+
+def initial(p: DiffPoly, main: str) -> DiffPoly:
+    """Coefficient of the top power of the leader."""
+    profile = _proper_profile(p, main)
     return p.coefficients(profile.leader)[0]
 
 
@@ -64,9 +70,7 @@ def separant(p: DiffPoly, main: str) -> DiffPoly:
     Nonzero whenever the profile is proper, since coefficients live in
     characteristic zero.
     """
-    profile = rank_profile(p, main)
-    if profile.is_constant:
-        raise ConstantPolynomial(f"{p} is free of {main!r}")
+    profile = _proper_profile(p, main)
     return p.partial(profile.leader)
 
 
@@ -75,14 +79,10 @@ def rank_compare(a: DiffPoly, b: DiffPoly, main: str) -> Comparison:
     below proper polynomials; equal (order, degree) is Equivalent."""
     pa = rank_profile(a, main)
     pb = rank_profile(b, main)
-    if pa.is_constant and pb.is_constant:
-        return Comparison.EQUIVALENT
-    if pa.is_constant:
+    ka = (-1, 0) if pa.is_constant else (pa.order, pa.degree)
+    kb = (-1, 0) if pb.is_constant else (pb.order, pb.degree)
+    if ka < kb:
         return Comparison.LESS
-    if pb.is_constant:
-        return Comparison.GREATER
-    if (pa.order, pa.degree) < (pb.order, pb.degree):
-        return Comparison.LESS
-    if (pa.order, pa.degree) > (pb.order, pb.degree):
+    if ka > kb:
         return Comparison.GREATER
     return Comparison.EQUIVALENT

@@ -94,27 +94,13 @@ def ritt_reduce(
     r, d = profile.order, profile.degree
     ctx = dividend.ctx
 
-    def certificate(m, n, remainder, cofactors):
-        return ReductionCertificate(
-            dividend=dividend,
-            divisor=divisor,
-            main=main,
-            mode=mode,
-            m=m,
-            n=n,
-            remainder=remainder,
-            cofactors=cofactors,
-        )
-
-    if dividend.is_zero:
-        return certificate(0, 0, ctx.zero(), {})
-    if dividend == divisor:
-        return certificate(0, 0, ctx.zero(), {0: ctx.one()})
-
     derivs = [divisor]
     work = dividend
     m = n = 0
     cofactors: dict[int, DiffPoly] = {}
+    if dividend == divisor:
+        work = ctx.zero()
+        cofactors = {0: ctx.one()}
     # One pseudo-division per derivative level h, from the top down; the
     # pass at h = r is the last.  Weak mode skips it unless d = 1, where
     # initial == separant and the steps are booked on n.
@@ -145,7 +131,16 @@ def ritt_reduce(
         if h == r:
             break
 
-    return certificate(m, n, work, cofactors)
+    return ReductionCertificate(
+        dividend=dividend,
+        divisor=divisor,
+        main=main,
+        mode=mode,
+        m=m,
+        n=n,
+        remainder=work,
+        cofactors=cofactors,
+    )
 
 
 def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
@@ -182,16 +177,13 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     if lhs != rhs:
         return VerificationResult(False, "identity")
 
-    remainder = cert.remainder
     if cert.mode is ReductionMode.WEAK:
         if cert.m != 0:
             return VerificationResult(False, "mode")
-        if not remainder.is_zero:
-            h = remainder.order_in(main)
-            if h is not None and h > profile.order:
-                return VerificationResult(False, "rank")
-    else:
-        if not remainder.is_zero:
-            if rank_compare(remainder, divisor, main) is not Comparison.LESS:
-                return VerificationResult(False, "rank")
+        h = cert.remainder.order_in(main)
+        if h is not None and h > profile.order:
+            return VerificationResult(False, "rank")
+    elif not cert.remainder.is_zero:
+        if rank_compare(cert.remainder, divisor, main) is not Comparison.LESS:
+            return VerificationResult(False, "rank")
     return VerificationResult(True)

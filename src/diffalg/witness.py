@@ -24,13 +24,12 @@ from enum import Enum
 
 from .errors import (
     ConstantDivisor,
-    ConstantPolynomial,
     ReducesIntoIdeal,
     VanishingResultant,
     ZeroTarget,
 )
 from .polynomials import DiffPoly, _split, monomial_key
-from .ranking import rank_profile, initial
+from .ranking import _proper_profile, rank_profile, initial
 from .reduction import ReductionCertificate, ReductionMode, ritt_reduce
 from .elimination import as_leader_poly, discriminant, resultant
 
@@ -147,7 +146,5 @@ def degree_bound(p: DiffPoly, main: str) -> int | None:
     polynomial; its degree bounds the field extension degree.  Positive
     order implies no finite bound.
     """
-    profile = rank_profile(p, main)
-    if profile.is_constant:
-        raise ConstantPolynomial(f"{p} is free of {main!r}")
+    profile = _proper_profile(p, main)
     return profile.degree if profile.order == 0 else None

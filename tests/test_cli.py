@@ -89,6 +89,12 @@ class TestReduceVerify:
         assert code == 0
         assert out == "invalid: identity\n"
 
+    def test_verify_rejects_a_divisor_free_of_main(self):
+        _, doc, _ = run(["reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "y' - u"])
+        tampered = doc.replace("A: y' - u", "A: u + 1")
+        assert tampered != doc
+        assert run(["verify"], tampered) == (0, "invalid: divisor\n", "")
+
     def test_verify_rejects_aliased_cofactor_key(self):
         # cofactor.01 would name index 1 again and replace cofactor.1.
         _, doc, _ = run([
@@ -417,6 +423,12 @@ class TestExitCodes:
         code, _, err = run(["reduce", "--vars", "u,y", "--dividend", "y"])
         assert code == 1
         assert err.startswith("error: usage:")
+
+    def test_bad_declaration_is_usage_error(self):
+        for names in ("u,u", "U"):
+            code, out, err = run(["parse", "--vars", names, "1"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: usage:") and err.count("\n") == 1
 
     def test_constant_divisor_is_exit_two(self):
         code, out, err = run([

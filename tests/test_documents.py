@@ -84,6 +84,7 @@ class TestCertificateDocuments:
             # Zero cofactors are never written.
             lambda lines: [l.replace("cofactor.1: 1", "cofactor.1: 0") for l in lines],
             lambda lines: lines + ["cofactor.100000000: 0"],
+            lambda lines: [l.replace("vars: u,y", "vars: u,u") for l in lines],
         ],
     )
     def test_malformed_documents_rejected(self, mutate):
@@ -142,3 +143,19 @@ class TestWitnessDocuments:
         text = serialize_witness(w).replace("transcendental", "mystery")
         with pytest.raises(DocumentError):
             parse_witness(text)
+
+    @pytest.mark.parametrize(
+        "line, changed",
+        [
+            # B1 and n restate the weak certificate's G and n.
+            ("B1: 1", "B1: 7*1"),
+            ("n: 1", "n: 5"),
+            ("n: 1", "n: 1\nextra: 1"),
+        ],
+    )
+    def test_disagreeing_or_extra_line_rejected(self, line, changed):
+        w = chevalley_witness(P("y'"), P("u*y' - 1"), main="y")
+        text = serialize_witness(w)
+        assert f"\n{line}\n" in text
+        with pytest.raises(DocumentError):
+            parse_witness(text.replace(f"\n{line}\n", f"\n{changed}\n"))

@@ -299,6 +299,15 @@ class TestDeterminants:
         ]
         assert det_bareiss(matrix, CTX) == CTX.constant(-1)
 
+    def test_zero_column(self):
+        matrix = [
+            [P("u"), CTX.zero(), P("y")],
+            [P("y'"), CTX.zero(), CTX.one()],
+            [CTX.one(), CTX.zero(), P("u")],
+        ]
+        assert det_bareiss(matrix, CTX).is_zero
+        assert det_cofactor(matrix, CTX).is_zero
+
     def test_empty_matrix(self):
         assert det_bareiss([], CTX) == CTX.one()
         assert det_cofactor([], CTX) == CTX.one()
@@ -309,3 +318,15 @@ class TestDeterminants:
         assert matrix[0] == [CTX.one(), CTX.zero(), P("-4*y")]
         assert matrix[1] == [P("2"), CTX.zero(), CTX.zero()]
         assert matrix[2] == [CTX.zero(), P("2"), CTX.zero()]
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (_leader("y"), _leader("(y')^2 - 4*y")),
+            (_leader("(y')^2 - 4*y"), _leader("u")),
+            (_leader("y'"), as_leader_poly(P("y''"), DerivVar("y", 2))),
+        ],
+    )
+    def test_sylvester_refuses_degree_zero_or_two_variables(self, p, q):
+        with pytest.raises(ValueError):
+            sylvester_matrix(p, q)

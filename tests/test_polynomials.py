@@ -223,6 +223,27 @@ class TestMonomialAndContext:
         y = DerivVar("y", 0)
         assert Monomial(((y, 1), (y, 0))) == Monomial(((y, 1),))
 
+    @pytest.mark.parametrize(
+        "factor, error",
+        [
+            ((("y", 0), 1), TypeError),
+            ((DerivVar("y", 1.5), 1), TypeError),
+            ((DerivVar("y", 0), 1.5), TypeError),
+            ((DerivVar("y", 0), Fraction(2)), TypeError),
+            ((DerivVar("y", -1), 1), ValueError),
+        ],
+    )
+    def test_malformed_factor_rejected(self, factor, error):
+        # Refused by the constructor, so no term map ever holds it.
+        with pytest.raises(error):
+            Monomial([factor])
+
+    def test_var_order_must_be_a_non_negative_int(self):
+        for order in (1.5, Fraction(1), -1):
+            with pytest.raises(ValueError):
+                CTX.var("y", order)
+        assert CTX.var("y", 2) == P("y''")
+
     def test_equality_ignores_construction_order(self):
         u, y1 = DerivVar("u", 0), DerivVar("y", 1)
         first = Monomial(((u, 2), (y1, 1)))

@@ -1,4 +1,5 @@
-"""Every ``$ diffalg ...`` example in README.md prints what the README shows."""
+"""Every ``$ diffalg ...`` example in README.md prints what the README shows,
+and the Python code of its Library section runs."""
 
 from __future__ import annotations
 
@@ -65,3 +66,14 @@ def test_examples_found():
 )
 def test_example_output(command, shown):
     assert _replay(command) == shown
+
+
+def test_library_example():
+    # The indented lines of the section, run as one program; its asserts
+    # are the checks.
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    code = [line[4:] for line in section.splitlines() if line.startswith("    ")]
+    assert any("verify_certificate(cert)" in line for line in code)
+    assert any("specialize" in line for line in code)
+    exec(compile("\n".join(code), f"{README}:Library", "exec"), {})

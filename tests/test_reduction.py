@@ -122,6 +122,11 @@ class TestWorkedFixtures:
         with pytest.raises(ZeroPolynomial):
             ritt_reduce(P("y"), CTX.zero(), "y", FULL)
 
+    def test_different_contexts_rejected(self):
+        other = Context("u", "y", "v")
+        with pytest.raises(ValueError):
+            ritt_reduce(P("y''"), parse_poly("y' - u", other), "y", FULL)
+
 
 class TestVerifier:
     def test_accepts_honest_certificate(self):

@@ -49,6 +49,10 @@ class TestSelectCoefficient:
     def test_main_free_polynomial_selects_itself(self):
         assert select_coefficient(P("u' + 3"), "y") == P("u' + 3")
 
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroTarget):
+            select_coefficient(CTX.zero(), "y")
+
     def test_scalar_coefficient(self):
         assert select_coefficient(P("-16*y"), "y") == CTX.constant(-16)
 
@@ -103,6 +107,11 @@ class TestAlgebraicCase:
     def test_constant_minimal_rejected(self):
         with pytest.raises(ConstantDivisor):
             chevalley_witness(P("y"), P("u + 1"), main="y")
+
+    def test_different_contexts_rejected(self):
+        other = Context("u", "y", "v")
+        with pytest.raises(ValueError):
+            chevalley_witness(P("y'"), parse_poly("u*y' - 1", other), main="y")
 
     def test_determinism(self):
         B, A = P("y''*y + u'"), P("(y')^2 - 4*y")
