@@ -48,8 +48,9 @@ class UnknownIndeterminate(InputError):
 
 
 class ExponentOutOfRange(InputError):
-    """A number or exponent reaches 2**63, a derivative lies past field 4095,
-    or a coefficient has more decimal digits than ``str()`` converts."""
+    """An exponent or derivative order reaches 2**63, a derivative lies past
+    field 4095, or a coefficient, typed or computed, has more decimal digits
+    than ``int()`` and ``str()`` convert (``sys.get_int_max_str_digits()``)."""
 
 
 class DocumentError(InputError):

@@ -69,14 +69,18 @@ def _checked(terms: dict[int, Scalar]) -> dict[int, Scalar]:
     return terms
 
 
+def _times(ka: int, kb: int) -> int:
+    """The key of the product of two monomials: one key addition."""
+    if (key := ka + kb) & _GUARDS:
+        raise ExponentOutOfRange("an exponent reaches 2**63")
+    return key
+
+
 def _product(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
-    """The term map of the product of two term maps; one term times one
-    term is one key addition."""
+    """The term map of the product of two term maps."""
     if len(a) == 1 == len(b):
         [(ka, ca)], [(kb, cb)] = a.items(), b.items()
-        if (key := ka + kb) & _GUARDS:
-            raise ExponentOutOfRange("an exponent reaches 2**63")
-        return {key: ca * cb}
+        return {_times(ka, kb): ca * cb}
     acc: dict[int, Scalar] = {}
     right = b.items()
     for m1, c1 in a.items():
@@ -178,8 +182,9 @@ class Context:
             (DerivVar(self.names[f % n], f // n), e) for f, e in enumerate(_exponents(key)) if e
         )
 
-    def _var_terms(self, name: str, order: int) -> dict[int, Scalar]:
-        return {1 << self._offset(DerivVar(name, order)): 1}
+    def _var_terms(self, name: str, order: int, exponent: int = 1) -> dict[int, Scalar]:
+        """The term map of the variable to ``exponent``, which is below 2**63."""
+        return {exponent << self._offset(DerivVar(name, order)): 1}
 
     # Convenience constructors.
 

@@ -18,11 +18,22 @@ Grammar (one-token lookahead):
     ident    := ASCII lowercase letter, then ASCII lowercase letters or digits
 
 There is no implicit multiplication and '^' binds tighter than '*'.
-Parentheses nest at most 100 deep (``_MAX_NESTING``).
+Parentheses nest at most 100 deep (``_MAX_NESTING``).  Exponents and
+derivative orders stay below 2**63; a numerator or denominator may have as
+many significant digits as ``int()`` converts.
 ``y'''`` and ``y^(3)`` denote the same variable; the printer uses primes
 up to order 3 and the caret form above.  Canonical output lists terms in
 descending monomial order with reduced fractional coefficients; the zero
 polynomial prints as "0".
+
+Text in the printer's own shape is first read by a lane without tokens:
+terms joined by exactly " + " or " - " after an optional leading "-", each
+an optional ASCII coefficient ``n`` or ``n/d`` and then '*'-joined factors
+``x``, ``x`` with primes, ``x^(k)``, ``x^e``, ``(x')^e`` or ``(x^(k))^e``.
+The lane splits at the separators and at '*' and reads each distinct factor
+text once per call.  It declines any other text, and any text on which the
+descent would raise; the descent then reads the whole text from the start.
+So every error, with its position and message, comes from the descent.
 """
 
 from __future__ import annotations
@@ -31,9 +42,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ExponentOutOfRange, ParseError
+from .errors import ExponentOutOfRange, ParseError, UnknownIndeterminate
 from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, Scalar, monomial_key
-from .polynomials import _collect, _power, _product, _scalar
+from .polynomials import _collect, _power, _product, _scalar, _times
 
 _WORD_MAX = 2**63 - 1
 # Each open parenthesis costs four parser frames; this keeps deep input
@@ -46,6 +57,14 @@ _MAX_NESTING = 100
 # or operator is a stray character.
 _TOKEN_RE = re.compile(rf"\d+|{_IDENT_RE.pattern}|['^()*+\-/]|\S")
 _OPERATORS = frozenset("'^()*+-/")
+
+# The canonical lane: terms split at exactly " + " or " - ", then factors
+# at "*".  A factor is x, x', x^(k), x^e, (x')^e or (x^(k))^e, or a variant
+# the descent reads alike, such as x'^e or (x).
+_SEPARATOR_RE = re.compile(" ([-+]) ")
+_FACTOR_RE = re.compile(
+    rf"(\()?({_IDENT_RE.pattern})(?:('+)|\^\(([0-9]+)\))?(?(1)\))(?:\^([0-9]+))?"
+)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -62,6 +81,24 @@ def _tokenize(text: str) -> list[str]:
 def _start(text: str, i: int) -> int:
     """Where token ``i`` of ``text`` starts; computed only to report an error."""
     return ([m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)])[i]
+
+
+def _natural(digits: str, word: bool) -> int | None:
+    """The value of a run of decimal digits, or None when it is out of range:
+    a word (an exponent or a derivative order) above 2**63 - 1, any other
+    number with more significant digits than ``int()`` converts
+    (``sys.get_int_max_str_digits()``).  Leading zeros, in any script, do
+    not count, and ``int()`` never sees more than a word's 19 digits when a
+    word is out of range."""
+    if len(digits) > 19:
+        digits = digits.lstrip("".join(d for d in set(digits) if int(d) == 0)) or "0"
+        if word and len(digits) > 19:
+            return None
+    try:
+        value = int(digits)
+    except ValueError:  # more digits than int-from-str conversion allows
+        return None
+    return None if word and value > _WORD_MAX else value
 
 
 class _Parser:
@@ -87,18 +124,12 @@ class _Parser:
             raise self.fail(repr(symbol))
         self.i += 1
 
-    def parse_nat(self, what: str) -> int:
+    def parse_nat(self, what: str, word: bool = True) -> int:
         text = self.tokens[self.i]
         if not text.isdecimal():
             raise self.fail(what)
-        # Range is judged on the significant digits, so int() never sees
-        # more than a machine word's 19 of them.  Leading zeros may be
-        # written in any script.
-        digits = text
-        if len(digits) > 19:
-            digits = digits.lstrip("".join(d for d in set(digits) if int(d) == 0)) or "0"
-        value = int(digits) if len(digits) <= 19 else _WORD_MAX + 1
-        if value > _WORD_MAX:
+        value = _natural(text, word)
+        if value is None:
             raise ExponentOutOfRange(f"{what} {text} at position {_start(self.text, self.i)}")
         self.i += 1
         return value
@@ -152,10 +183,10 @@ class _Parser:
         raise self.fail("a number, variable or '('")
 
     def parse_rational(self) -> dict[int, Scalar]:
-        value = self.parse_nat("an integer")
+        value = self.parse_nat("an integer", word=False)
         if self.tokens[self.i] == "/":
             self.i += 1
-            denominator = self.parse_nat("a denominator")
+            denominator = self.parse_nat("a denominator", word=False)
             if denominator == 0:
                 raise ParseError(_start(self.text, self.i - 2) + 1, "a positive denominator", "0")
             value = _scalar(Fraction(value, denominator))
@@ -176,13 +207,84 @@ class _Parser:
         return self.ctx._var_terms(name, order)
 
 
-def parse_poly(text: str, ctx: Context) -> DiffPoly:
-    """Parse surface syntax into a differential polynomial."""
+def _factor_key(text: str, ctx: Context) -> int | None:
+    """The packed key of one canonical factor, or None to decline it."""
+    m = _FACTOR_RE.fullmatch(text)
+    if m is None:
+        return None
+    _, name, primes, caret, exponent = m.groups()
+    order = len(primes) if primes else _natural(caret, word=True) if caret else 0
+    power = _natural(exponent, word=True) if exponent else 1
+    if order is None or power is None:
+        return None
+    try:
+        [key] = ctx._var_terms(name, order, power)
+    except (UnknownIndeterminate, ExponentOutOfRange):
+        return None
+    return key
+
+
+def _coefficient(text: str) -> Scalar | None:
+    """The value of an ASCII ``n`` or ``n/d``, or None to decline it."""
+    numerator, slash, denominator = text.partition("/")
+    if not (text.isascii() and numerator.isdigit() and (denominator.isdigit() or not slash)):
+        return None
+    value = _natural(numerator, word=False)
+    if not slash:
+        return value
+    divisor = _natural(denominator, word=False)
+    return _scalar(Fraction(value, divisor)) if value is not None and divisor else None
+
+
+def _read_canonical(text: str, ctx: Context) -> dict[int, Scalar] | None:
+    """The term map of text in the printer's shape, or None to decline it.
+
+    Reads terms joined by " + " or " - " after an optional leading "-",
+    each an optional coefficient and then factors joined by "*".  Each
+    distinct factor text is matched once per call.  Declines wherever the
+    descent could raise, so errors come only from the descent."""
+    negate = text[:1] == "-"
+    pieces = _SEPARATOR_RE.split(text[negate:])
+    keys: dict[str, int] = {}
+    pairs: list[tuple[int, Scalar]] = []
+    for j in range(0, len(pieces), 2):
+        if j:
+            negate = pieces[j - 1] == "-"
+        factors = pieces[j].split("*")
+        c: Scalar | None = 1
+        if "0" <= factors[0][:1] <= "9":
+            c = _coefficient(factors.pop(0))
+            if c is None:
+                return None
+        key = 0
+        for factor in factors:
+            k = keys.get(factor)
+            if k is None:
+                k = keys[factor] = _factor_key(factor, ctx)
+                if k is None:
+                    return None
+            try:
+                key = _times(key, k)
+            except ExponentOutOfRange:  # the descent's product raises too
+                return None
+        if c:
+            pairs.append((key, -c if negate else c))
+    return _collect(pairs)
+
+
+def _descend(text: str, ctx: Context) -> dict[int, Scalar]:
+    """The term map of any text, read by the recursive descent."""
     parser = _Parser(text, ctx)
     terms = parser.parse_expr()
     if parser.tokens[parser.i]:
         raise parser.fail("end of input")
-    return DiffPoly._raw(ctx, terms)
+    return terms
+
+
+def parse_poly(text: str, ctx: Context) -> DiffPoly:
+    """Parse surface syntax into a differential polynomial."""
+    terms = _read_canonical(text, ctx)
+    return DiffPoly._raw(ctx, _descend(text, ctx) if terms is None else terms)
 
 
 def render_var(var: DerivVar) -> str:

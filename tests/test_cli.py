@@ -79,6 +79,14 @@ class TestReduceVerify:
         code, out, err = run(["verify"], stdin_text=doc)
         assert (code, out, err) == (0, "valid\n", "")
 
+    def test_verify_reads_coefficients_past_a_word(self):
+        # 3^50 has 24 digits: coefficients are not held to the exponent bound.
+        code, doc, err = run(["reduce", "--vars", "y", "--dividend", "(3*y)^50",
+                              "--divisor", "2*y - 1"])
+        assert (code, err) == (0, "")
+        assert "\nG: 717897987691852588770249\n" in doc
+        assert run(["verify"], doc) == (0, "valid\n", "")
+
     def test_verify_rejects_tampered_document(self):
         _, doc, _ = run([
             "reduce", "--vars", "u,y", "--dividend", "y''",
@@ -275,6 +283,8 @@ class TestExitCodes:
             ["parse", "--vars", "y", "2^20000"],
             ["parse", "--vars", "y", "3^9999*y"],
             ["parse", "--vars", "y", f"10^{INT_DIGITS}"],
+            ["parse", "--vars", "y", "9" * (INT_DIGITS + 1) + "*y"],
+            ["parse", "--vars", "y", "1/" + "9" * (INT_DIGITS + 1)],
             ["reduce", "--vars", "u,y", "--dividend", "2^20000*y''", "--divisor", "y' - u"],
         ]:
             code, out, err = run(argv)
@@ -284,8 +294,14 @@ class TestExitCodes:
 
     @pytest.mark.skipif(INT_DIGITS == 0, reason="int-to-str conversion has no limit")
     def test_coefficient_at_the_digit_limit_prints(self):
-        code, out, err = run(["parse", "--vars", "y", f"10^{INT_DIGITS - 1}"])
-        assert (code, out, err) == (0, "1" + "0" * (INT_DIGITS - 1) + "\n", "")
+        nines = "9" * INT_DIGITS
+        for expr, printed in [
+            (f"10^{INT_DIGITS - 1}", "1" + "0" * (INT_DIGITS - 1)),
+            (f"{nines}*y", f"{nines}*y"),
+            (f"000{nines}*y", f"{nines}*y"),
+            (f"1/{nines}", f"1/{nines}"),
+        ]:
+            assert run(["parse", "--vars", "y", expr]) == (0, printed + "\n", "")
 
     def test_computed_exponent_past_a_word_is_out_of_range(self):
         # Each exponent typed is 2^63 - 1; each computed one would be 2^63,
@@ -306,7 +322,7 @@ class TestExitCodes:
     def test_derivative_order_past_the_last_field_is_out_of_range(self):
         # A key would need 2^63 or 10^8 exponent fields; the bound is 4096.
         start = time.perf_counter()
-        for order in ("9223372036854775807", "100000000"):
+        for order in ("9223372036854775807", "100000000", "4096"):
             for argv in [
                 ["parse", "--vars", "y", f"y^({order})"],
                 ["resultant", "--vars", "u,y", "--first", "y", "--second", "u",

@@ -20,7 +20,7 @@ from diffalg import (
     parse_poly,
 )
 from diffalg.polynomials import monomial_key
-from diffalg.syntax import _render_power
+from diffalg.syntax import _descend, _render_power
 
 from test_polynomials import WIDE, _polys_over, polys
 
@@ -155,6 +155,11 @@ class TestRejection:
             # The whole text is tokenized first: a stray character is
             # reported even after an earlier grammar error.
             ("y + ) @", ("parse-error", 6, "a token", "'@'")),
+            ("y^9223372036854775808", ("exponent-out-of-range", None, None, None)),
+            (
+                "y^4611686018427387904*y^4611686018427387904",
+                ("exponent-out-of-range", None, None, None),
+            ),
         ],
     )
     def test_error_fields(self, text, error):
@@ -238,6 +243,10 @@ class TestPinnedEdgeCases:
             ("0^0", "1"),
             ("(y - y)^0", "1"),
             ("(1/2*y')^3", "1/8*(y')^3"),
+            ("y'^2", "(y')^2"),
+            ("٣*y", "3*y"),
+            ("y + y - 2*y", "0"),
+            ("0/5*y", "0"),
         ],
     )
     def test_value(self, text, printed):
@@ -250,6 +259,9 @@ class TestPinnedEdgeCases:
             "(y^4611686018427387904)^2",
             "(2*u*y^4611686018427387904)^2",
             "y^9223372036854775807*y^9223372036854775807*y^2",
+            "y^9223372036854775808",
+            "y^4611686018427387904*y^4611686018427387904",
+            "y^(2048)",
         ],
     )
     def test_exponent_out_of_range(self, text):
@@ -364,6 +376,58 @@ def _reference_format(p: DiffPoly) -> str:
         sign = ("-" if coeff < 0 else "") if not pieces else (" - " if coeff < 0 else " + ")
         pieces.append(sign + "*".join(parts))
     return "".join(pieces) or "0"
+
+
+def _outcome(read, text: str, ctx: Context):
+    """The items of the term map, in order, or the fields of the error."""
+    try:
+        return list(read(text, ctx).items())
+    except DiffAlgError as exc:
+        fields = (getattr(exc, name, None) for name in ("position", "expected", "found"))
+        return (type(exc), exc.slug, *fields, str(exc))
+
+
+def _canonical_texts(ctx: Context):
+    # Coefficients above 2**63 and exponents below 2**62, so that a product
+    # of two factors stays in range and no power expands a sum.
+    var, poly = _polys_over(ctx, 5)
+    monomial = st.builds(lambda v, e: ctx.var(*v) ** e, var, st.integers(0, 2**62 - 1))
+    return st.builds(
+        lambda p, m, c: format_poly(p * m * c), poly, monomial, st.integers(1, 2**200)
+    )
+
+
+# Canonical fragments and near misses, joined at random or spliced into
+# canonical text.
+_FRAGMENTS = [
+    "u", "y", "y'''", "y^(4096)", "(y')", "^2", "*", " + ", " - ", "-", "3", "3/0",
+    "٣", "  ", "(", ")", "w",
+]
+_soup = st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join)
+_spliced = st.builds(
+    lambda text, at, soup: text[: at * len(text) // 64] + soup + text[at * len(text) // 64 :],
+    _canonical_texts(CTX),
+    st.integers(0, 64),
+    _soup,
+)
+
+
+class TestCanonicalLane:
+    """parse_poly, which reads canonical text without tokens, against the
+    recursive descent alone: equal term maps in equal order, or equal errors."""
+
+    @settings(max_examples=400)
+    @given(
+        st.one_of(
+            _canonical_texts(CTX).map(lambda t: (CTX, t)),
+            _canonical_texts(WIDE).map(lambda t: (WIDE, t)),
+            st.one_of(_soup, _spliced).map(lambda t: (CTX, t)),
+        )
+    )
+    def test_lane_equals_descent(self, args):
+        ctx, text = args
+        lane = _outcome(lambda t, c: parse_poly(t, c)._terms, text, ctx)
+        assert lane == _outcome(_descend, text, ctx)
 
 
 class TestFormatOracle:
