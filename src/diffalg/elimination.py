@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import ZeroPolynomial
-from .polynomials import Context, DerivVar, DiffPoly, exact_div
+from .polynomials import Context, DerivVar, DiffPoly, _sum_of_products, exact_div
 from .ranking import _proper_profile, separant
 
 
@@ -142,13 +142,18 @@ def _pseudo_divide(a: list[DiffPoly], b: list[DiffPoly]) -> tuple[list, list]:
     its head; a head that vanishes costs no step.  Returns the remainder
     (empty when b divides) and the head c_t and shift p_t of each of the s
     steps: lc(b)^s * a = sum_t c_t * lc(b)^(s-1-t) * x^(p_t) * b + remainder.
+    Each new coefficient lc(b)*r_i - lc(r)*b_i is one sum of products, with
+    lc(r) negated once per step.
     """
     lb, r = b[0], a
     heads: list[tuple[DiffPoly, int]] = []
     while len(r) >= len(b):
         lr = r[0]
         heads.append((lr, len(r) - len(b)))
-        r = [lb * r[i] - lr * b[i] for i in range(1, len(b))] + [lb * c for c in r[len(b):]]
+        minus_lr = -lr
+        r = [
+            _sum_of_products(lb.ctx, ((lb, ri), (minus_lr, bi))) for ri, bi in zip(r[1:], b[1:])
+        ] + [lb * c for c in r[len(b):]]
         while r and r[0].is_zero:
             r.pop(0)
     return r, heads

@@ -23,6 +23,11 @@ stay below 4096, so a key holds at most 32 KiB; a derivative past that
 raises ExponentOutOfRange too.  ``DiffPoly.terms`` is a read-only view of
 the term map that shows each key as a ``Monomial``, the frozenset of its
 (DerivVar, exponent) pairs; ``DiffPoly(ctx, terms)`` packs them back.
+
+Every product and every sum of products, such as a step lc(b)*r_i -
+lc(r)*b_i of pseudo-division or the certificate identity that
+``reduction.verify_certificate`` checks, is built by ``_combination`` in
+one term map, without intermediate polynomials.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ def _exponents(key: int) -> memoryview:
     return memoryview(key.to_bytes(size, sys.byteorder)).cast("Q")
 
 
-def _checked(terms: dict[int, Scalar]) -> dict[int, Scalar]:
-    """``terms``, unless a key sets a guard bit or a field past the last.
-    Fields never carry into one another: every sum that can reach a guard
-    bit adds two exponents below 2**63, or one to such an exponent."""
-    bits = reduce(or_, terms, 0)
+def _checked(terms: dict[int, Scalar], bits: int = 0) -> dict[int, Scalar]:
+    """``terms``, unless a key, or a bit of ``bits``, sets a guard bit or a
+    field past the last.  Fields never carry into one another: every sum
+    that can reach a guard bit adds two exponents below 2**63, or one to
+    such an exponent."""
+    bits = reduce(or_, terms, bits)
     if bits & _GUARDS:
         raise ExponentOutOfRange("an exponent reaches 2**63")
     if bits >> _FIELD * _FIELDS:
@@ -76,25 +82,38 @@ def _times(ka: int, kb: int) -> int:
     return key
 
 
+def _combination(
+    pairs: Iterable[tuple[dict[int, Scalar], dict[int, Scalar]]],
+) -> dict[int, Scalar]:
+    """The term map of the sum of the products of term-map pairs, built in
+    one dict.  Every key a product yields meets the guard check, also one
+    that cancels, so the sum raises ExponentOutOfRange wherever one of its
+    products alone would."""
+    acc: dict[int, Scalar] = {}
+    cancelled = 0
+    for a, b in pairs:
+        right = b.items()
+        for m1, c1 in a.items():
+            for m2, c2 in right:
+                m = m1 + m2
+                if m in acc:
+                    s = acc[m] + c1 * c2
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+                        cancelled |= m
+                else:
+                    acc[m] = c1 * c2
+    return _checked(acc, cancelled)
+
+
 def _product(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
     """The term map of the product of two term maps."""
     if len(a) == 1 == len(b):
         [(ka, ca)], [(kb, cb)] = a.items(), b.items()
         return {_times(ka, kb): ca * cb}
-    acc: dict[int, Scalar] = {}
-    right = b.items()
-    for m1, c1 in a.items():
-        for m2, c2 in right:
-            m = m1 + m2
-            if m in acc:
-                s = acc[m] + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-            else:
-                acc[m] = c1 * c2
-    return _checked(acc)
+    return _combination(((a, b),))
 
 
 def _power(terms: dict[int, Scalar], e: int) -> dict[int, Scalar]:
@@ -251,7 +270,8 @@ def _scalar(c: Scalar) -> Scalar:
 
 def _collect(terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
     """Sum the coefficients of equal keys; zero sums are dropped.
-    Every sum of term maps goes through here."""
+    Every sum of term maps goes through here, except sums of products,
+    which ``_combination`` builds."""
     acc: dict[int, Scalar] = {}
     for key, c in terms:
         s = acc[key] + c if key in acc else c
@@ -265,6 +285,11 @@ def _collect(terms: Iterable[tuple[int, Scalar]]) -> dict[int, Scalar]:
 def _sum(ctx: Context, polys: Iterable[DiffPoly]) -> DiffPoly:
     """The sum of ``polys``, their terms collected in one pass."""
     return DiffPoly._raw(ctx, _collect(chain.from_iterable(p._terms.items() for p in polys)))
+
+
+def _sum_of_products(ctx: Context, pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
+    """The sum of the products of ``pairs``, built in one term map."""
+    return DiffPoly._raw(ctx, _combination((p._terms, q._terms) for p, q in pairs))
 
 
 class _Terms(Mapping):
@@ -520,6 +545,7 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
         return p
     lt_q = max(q._terms)
     lt_q_coeff = q._terms[lt_q]
+    int_divisor = type(lt_q_coeff) is int
     q_tail = [(key, c) for key, c in q._terms.items() if key != lt_q]
     # The guard bits of p's and q's fields; every key met below lies in them.
     guards = _GUARDS & ((1 << max(chain(p._terms, q._terms)).bit_length() + _FIELD) - 1)
@@ -539,8 +565,11 @@ def exact_div(p: DiffPoly, q: DiffPoly) -> DiffPoly:
         if borrowed & guards != guards or lt_r & guards:
             raise ValueError("polynomials do not divide exactly")
         mono = borrowed ^ guards
-        # Fraction(a, b), never a / b: two ints would divide to a float.
-        coeff = _scalar(Fraction(lt_r_coeff, lt_q_coeff))
+        if int_divisor and type(lt_r_coeff) is int and not lt_r_coeff % lt_q_coeff:
+            coeff = lt_r_coeff // lt_q_coeff
+        else:
+            # Fraction(a, b), never a / b: two ints would divide to a float.
+            coeff = _scalar(Fraction(lt_r_coeff, lt_q_coeff))
         quotient[mono] = coeff
         for m2, c2 in q_tail:
             mm = mono + m2

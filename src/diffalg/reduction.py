@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import ConstantDivisor
 from .elimination import _pseudo_divide
-from .polynomials import DerivVar, DiffPoly, _degree, _shift, _sum
+from .polynomials import DerivVar, DiffPoly, _degree, _shift, _sum, _sum_of_products
 from .ranking import Comparison, initial, rank_compare, rank_profile, separant
 
 
@@ -145,7 +145,8 @@ def ritt_reduce(
 
 def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     """Re-establish the certificate identity by exact expansion and check
-    the mode's rank contract on the remainder."""
+    the mode's rank contract on the remainder.  Both sides of the identity
+    are expanded into one sum of products, which must cancel to zero."""
     divisor = cert.divisor
     main = cert.main
     profile = rank_profile(divisor, main) if not divisor.is_zero else None
@@ -156,25 +157,29 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
     bound = -1 if top is None else top - profile.order
     if cert.m < 0 or cert.n < 0 or any(not 0 <= k <= bound for k in cert.cofactors):
         return VerificationResult(False, "shape")
+    ctx = divisor.ctx
+    if any(p.ctx != ctx for p in (cert.dividend, cert.remainder, *cert.cofactors.values())):
+        raise ValueError("operands declare different indeterminates")
 
-    lhs = cert.dividend
-    if not lhs.is_zero:
+    # The identity holds when G + sum_k c_k * delta^k(A) - I^m S^n F, summed
+    # in one term map, is empty.
+    dividend = cert.dividend
+    pairs = [(cert.remainder, ctx.one())]
+    if not dividend.is_zero:
         # In a domain I^m S^n F has total degree m deg I + n deg S + deg F,
         # and delta never raises total degree: a left side above every right
         # term cannot match, so refuse it before expanding any power.
         init, sep = initial(divisor, main), separant(divisor, main)
-        left = cert.m * _degree(init) + cert.n * _degree(sep) + _degree(lhs)
+        left = cert.m * _degree(init) + cert.n * _degree(sep) + _degree(dividend)
         right = max(
             [_degree(cert.remainder)]
             + [_degree(c) + _degree(divisor) for c in cert.cofactors.values()]
         )
         if left > right:
             return VerificationResult(False, "identity")
-        lhs = init ** cert.m * sep ** cert.n * lhs
-    rhs = cert.remainder
-    for k, cof in cert.cofactors.items():
-        rhs = rhs + cof * divisor.delta(k)
-    if lhs != rhs:
+        pairs.append((-(init ** cert.m * sep ** cert.n), dividend))
+    pairs += [(cof, divisor.delta(k)) for k, cof in cert.cofactors.items()]
+    if not _sum_of_products(ctx, pairs).is_zero:
         return VerificationResult(False, "identity")
 
     if cert.mode is ReductionMode.WEAK:

@@ -319,6 +319,25 @@ class TestExitCodes:
             assert err.startswith("error: exponent-out-of-range: ")
             assert err.count("\n") == 1
 
+    def test_cancelling_products_past_a_word_are_out_of_range(self):
+        # With Y = u^(2^62), the step Y*(2*Y) - (2*Y)*Y and the identity
+        # Y*F - (2*Y)*A cancel to zero, but each product reaches u^(2^63).
+        half = "u^4611686018427387904"
+        divisor = f"{half}*y' + {half}"
+        dividend = f"2*{half}*y' + 2*{half}"
+        document = (
+            f"vars: u,y\nmain: y\nmode: full\nm: 1\nn: 0\nF: {dividend}\n"
+            f"A: {divisor}\nG: 0\ncofactor.0: 2*{half}\n"
+        )
+        for argv, stdin_text in [
+            (["reduce", "--vars", "u,y", "--dividend", dividend, "--divisor", divisor], ""),
+            (["verify"], document),
+        ]:
+            code, out, err = run(argv, stdin_text)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: exponent-out-of-range: ")
+            assert err.count("\n") == 1
+
     def test_derivative_order_past_the_last_field_is_out_of_range(self):
         # A key would need 2^63 or 10^8 exponent fields; the bound is 4096.
         start = time.perf_counter()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,9 @@ from diffalg import (
     parse_poly,
     resultant,
 )
+from diffalg.elimination import _pseudo_divide
+from diffalg.polynomials import _collect, _combination, _product
+from diffalg.reduction import ReductionCertificate, ReductionMode, verify_certificate
 
 import _corpus
 from test_elimination import YP, _random_in_leader
@@ -279,6 +283,26 @@ class TestExactDiv:
         with pytest.raises(ZeroDivisionError):
             exact_div(P("y"), CTX.zero())
 
+    @pytest.mark.parametrize(
+        "p, q, quotient",
+        [
+            ("-6*y", "3", "-2*y"),
+            ("6*y", "-3", "-2*y"),
+            ("-6*y", "-3", "2*y"),
+            ("3*y", "2*y", "3/2"),
+            ("3/2*y", "3", "1/2*y"),
+            ("6*y", "3/2", "4*y"),
+            ("3/2*y^2 - 3*y", "3/2*y", "y - 2"),
+            ("-4*u*y + 3/2*u", "-2*u", "2*y - 3/4"),
+        ],
+    )
+    def test_quotient_coefficient_types(self, p, q, quotient):
+        # An exact integer quotient is an int, any other a reduced Fraction.
+        got, want = exact_div(P(p), P(q)).terms, P(quotient).terms
+        assert {m: (c, type(c)) for m, c in got.items()} == {
+            m: (c, type(c)) for m, c in want.items()
+        }
+
 
 def _all_ints(p: DiffPoly) -> bool:
     return all(type(c) is int for c in p.terms.values())
@@ -409,6 +433,65 @@ def _operands(ctx: Context, max_order: int):
 
 
 operands = st.one_of(_operands(CTX, 3), _operands(WIDE, 40))
+
+
+@st.composite
+def _pair_lists(draw):
+    """One to four pairs of polynomials, some the negated copies of others."""
+    pairs = draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=4))
+    for i in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=4 - len(pairs))):
+        a, b = pairs[i]
+        pairs.append((-a, b))
+    return draw(st.permutations(pairs))
+
+
+class TestCombination:
+    """``_combination`` sums products in one term map."""
+
+    @given(_pair_lists())
+    def test_matches_collected_products(self, pairs):
+        maps = [(a._terms, b._terms) for a, b in pairs]
+        products = chain.from_iterable(_product(a, b).items() for a, b in maps)
+        assert _combination(maps) == _collect(products)
+
+    def test_negated_copies_cancel_to_an_empty_map(self):
+        a, b, c = P("3*u*y' - y^2 + 1/2"), P("y'' - 2*u"), P("u*y")
+        assert _combination([(a._terms, b._terms), ((-a)._terms, b._terms)]) == {}
+        assert _combination(
+            [(a._terms, b._terms), (c._terms, a._terms), ((-a)._terms, b._terms)]
+        ) == (c * a)._terms
+
+    def test_cancelled_products_still_meet_the_guard_check(self):
+        # y^(2^62) * y^(2^62) reaches 2^63; the sum a*b - a*b cancels it,
+        # and must raise as computing a*b alone does.
+        half = "y^4611686018427387904"
+        for a, b in [(P(half), P(half)), (P(f"{half} + u"), P(f"{half}*u' - 1"))]:
+            with pytest.raises(ExponentOutOfRange):
+                a * b
+            with pytest.raises(ExponentOutOfRange):
+                _combination([(a._terms, b._terms), ((-a)._terms, b._terms)])
+            with pytest.raises(ExponentOutOfRange):
+                _combination(
+                    [(a._terms, b._terms), (P("u")._terms, P("y")._terms), ((-a)._terms, b._terms)]
+                )
+
+    def test_cancelled_pseudo_division_step_still_overflows(self):
+        # lc(b)*r_1 - lc(r)*b_1 = Y*2Y - 2Y*Y cancels to zero, but each
+        # product reaches u^(2^63).
+        Y = P("u^4611686018427387904")
+        with pytest.raises(ExponentOutOfRange):
+            _pseudo_divide([2 * Y, 2 * Y], [Y, Y])
+
+    def test_cancelled_certificate_identity_still_overflows(self):
+        # Y*F - 2Y*A = 0 with F = 2A, but each product reaches u^(2^63).
+        Y = P("u^4611686018427387904")
+        A = Y * P("y'") + Y
+        cert = ReductionCertificate(
+            dividend=2 * A, divisor=A, main="y", mode=ReductionMode.FULL,
+            m=1, n=0, remainder=CTX.zero(), cofactors={0: 2 * Y},
+        )
+        with pytest.raises(ExponentOutOfRange):
+            verify_certificate(cert)
 
 
 class TestPackedKeys:

@@ -13,6 +13,7 @@ from diffalg import (
     ConstantDivisor,
     Context,
     DiffPoly,
+    Monomial,
     ReductionMode,
     VerificationResult,
     ZeroPolynomial,
@@ -176,6 +177,20 @@ class TestVerifier:
         beyond = dataclasses.replace(cert, cofactors={**cert.cofactors, 2: P("u")})
         assert verify_certificate(beyond) == VerificationResult(False, "shape")
 
+    def test_parts_over_another_context_rejected(self):
+        # The identity is summed over packed keys, whose layout is the
+        # context's; parts over different indeterminates cannot be mixed.
+        cert = ritt_reduce(P("y''"), P("y' - u"), "y", FULL)
+        other = Context("u", "v", "y")
+        for part in ("dividend", "remainder"):
+            text = str(getattr(cert, part))
+            moved = dataclasses.replace(cert, **{part: parse_poly(text, other)})
+            with pytest.raises(ValueError):
+                verify_certificate(moved)
+        moved = dataclasses.replace(cert, cofactors={1: other.one()})
+        with pytest.raises(ValueError):
+            verify_certificate(moved)
+
     def test_no_cofactor_for_a_main_free_dividend(self):
         # 0 = -A + 1 * A holds, but no reduction of 0 or of u books a cofactor.
         A = P("y' - u")
@@ -294,6 +309,35 @@ class TestRandomCorpus:
                     )
                     guarded += degree(lhs) > right
         assert guarded > 100
+
+    def test_one_changed_coefficient_breaks_the_identity(self):
+        # The criterion-1 corpus (tests/test_acceptance.py): a coefficient of
+        # G, then of each cofactor in turn, moved by +1 or -1 (a zero G gets
+        # a constant term).  verify must answer "identity", as the expanded
+        # sides do.
+        rng = random.Random(139)
+
+        def changed(p):
+            terms = dict(p.terms) or {Monomial(): 0}
+            mono = rng.choice(sorted(terms, key=sorted))
+            terms[mono] += rng.choice((-1, 1))
+            return DiffPoly(CTX, terms)
+
+        checked = 0
+        for F, A in self._pairs(1000, seed=20260809):
+            for mode in (FULL, WEAK):
+                cert = ritt_reduce(F, A, "y", mode)
+                wrong = [dataclasses.replace(cert, remainder=changed(cert.remainder))]
+                wrong += [
+                    dataclasses.replace(cert, cofactors={**cert.cofactors, k: changed(c)})
+                    for k, c in cert.cofactors.items()
+                ]
+                for bad in wrong:
+                    lhs, rhs = _identity_sides(bad)
+                    assert lhs != rhs, (F, A, mode)
+                    assert verify_certificate(bad) == VerificationResult(False, "identity")
+                checked += len(wrong)
+        assert checked > 2000
 
     def test_no_zero_cofactors_stored(self):
         for F, A in self._pairs(80, seed=127):
