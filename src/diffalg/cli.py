@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on input or syntax errors, 2 on violated
 mathematical preconditions.  Diagnostics go to stderr as a single
-``error: <kind>: <detail>`` line, the detail clipped to 200 characters;
-output is written only on success.
+``error: <kind>: <detail>`` line, each line break in the detail written as
+its escape and the detail clipped to 200 characters; output is written only
+on success.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 _DETAIL_MAX = 200
+# Every character str.splitlines() breaks at, written as its escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _context(args) -> Context:
@@ -179,14 +182,18 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     try:
         with redirect_stdout(out):
             args = _PARSER.parse_args(argv)
+            # Before Python 3.13, argparse drops the text "--" of "--flag=--"
+            # and stores an empty list; every option here takes one text.
+            vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
             output = _dispatch(args, stdin_text)
         out.write(output)
         return 0, out.getvalue(), err.getvalue()
     except SystemExit:  # argparse --help; _Parser.error raises instead
         return 0, out.getvalue(), err.getvalue()
     except (InputError, DomainError) as exc:
-        # Messages may echo input text; the line stays short whatever it is.
-        detail = str(exc)
+        # Messages may echo input text; the line stays one short line
+        # whatever it is.
+        detail = str(exc).translate(_LINE_BREAKS)
         if len(detail) > _DETAIL_MAX:
             detail = detail[:_DETAIL_MAX] + "..."
         err.write(f"error: {exc.slug}: {detail}\n")

@@ -20,9 +20,10 @@ declare equal names and so share one layout.  Every exponent stays below
 2**63: the top bit of each field is a guard bit, and a product, power or
 derivation that would set one raises ExponentOutOfRange.  Field numbers
 stay below 4096, so a key holds at most 32 KiB; a derivative past that
-raises ExponentOutOfRange too.  ``DiffPoly.terms`` is a read-only view of
-the term map that shows each key as a ``Monomial``, the frozenset of its
-(DerivVar, exponent) pairs; ``DiffPoly(ctx, terms)`` packs them back.
+raises ExponentOutOfRange too.  ``DiffPoly.terms`` is a read-only mapping,
+built on each access, from each key's ``Monomial``, the frozenset of its
+(DerivVar, exponent) pairs, to its coefficient; ``DiffPoly(ctx, terms)``
+packs them back.
 
 Every product and every sum of products, such as a step lc(b)*r_i -
 lc(r)*b_i of pseudo-division or the certificate identity that
@@ -40,9 +41,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import or_
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .errors import DiffAlgError, ExponentOutOfRange, UnknownIndeterminate
+from .errors import ExponentOutOfRange, UnknownIndeterminate
 
 Scalar = Union[int, Fraction]
 
@@ -110,9 +112,6 @@ def _combination(
 
 def _product(a: dict[int, Scalar], b: dict[int, Scalar]) -> dict[int, Scalar]:
     """The term map of the product of two term maps."""
-    if len(a) == 1 == len(b):
-        [(ka, ca)], [(kb, cb)] = a.items(), b.items()
-        return {_times(ka, kb): ca * cb}
     return _combination(((a, b),))
 
 
@@ -292,35 +291,6 @@ def _sum_of_products(ctx: Context, pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -
     return DiffPoly._raw(ctx, _combination((p._terms, q._terms) for p, q in pairs))
 
 
-class _Terms(Mapping):
-    """Read-only view of a term map: keys are unpacked to ``Monomial``
-    values only when iterated, and a looked-up ``Monomial`` is packed."""
-
-    __slots__ = ("_ctx", "_terms")
-
-    def __init__(self, ctx: Context, terms: dict[int, Scalar]):
-        self._ctx = ctx
-        self._terms = terms
-
-    def __getitem__(self, mono: Monomial) -> Scalar:
-        try:
-            return self._terms[self._ctx._pack(mono)]
-        except (TypeError, DiffAlgError, ValueError):
-            raise KeyError(mono) from None
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(self._ctx._unpack, self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def values(self):
-        return self._terms.values()
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 class DiffPoly:
     """A differential polynomial with exact rational coefficients.
 
@@ -345,7 +315,7 @@ class DiffPoly:
 
     @property
     def terms(self) -> Mapping[Monomial, Scalar]:
-        return _Terms(self.ctx, self._terms)
+        return MappingProxyType({self.ctx._unpack(key): c for key, c in self._terms.items()})
 
     @property
     def is_zero(self) -> bool:

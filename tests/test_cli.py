@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffalg.cli import run
 
@@ -50,6 +51,68 @@ certificate.A: u*y' - 1
 certificate.G: 1
 certificate.cofactor.0: 1
 """
+
+
+# Before Python 3.13, argparse stored "--flag=--" as an empty list.
+DOUBLE_DASH_VALUES = [
+    ["reduce", "--vars", "u,y", "--dividend=--", "--divisor=y"],
+    ["witness", "--vars", "u,y", "--target=--"],
+    ["resultant", "--vars", "u,y", "--first=--", "--second=y", "--leader=y"],
+]
+DOUBLE_DASH_ERROR = (
+    "error: parse-error: at position 1: expected a number, variable or '(', found -\n"
+)
+
+# Each subcommand, with and without its optional flags, and the flags that
+# take a text; None is the positional text.
+FUZZ_COMMANDS = [
+    (["reduce"], ["--dividend", "--divisor"]),
+    (["reduce", "--weak"], ["--dividend", "--divisor"]),
+    (["witness"], ["--target"]),
+    (["witness"], ["--target", "--minimal"]),
+    (["resultant"], ["--first", "--second", "--leader"]),
+    *(([name], ["--poly"]) for name in (
+        "discriminant", "initial", "separant", "rank", "degree-bound",
+    )),
+    (["membership"], ["--dividend", "--divisor"]),
+    (["parse"], [None]),
+    (["format"], [None]),
+]
+# Numbers come only from these fragments: a digit run such as y^2999 could
+# ask reduce for thousands of pseudo-division steps.
+FUZZ_FRAGMENTS = [
+    "y", "u", "w", "'", "y'", "y^(4)", "(y')^2",
+    "3", "1/2", "^2",
+    "+", "-", "--", "*", "(", ")", " ",
+    "\n", "\u0663", "\u00b2", "\u00e9", ":",
+]
+fuzz_texts = st.lists(st.sampled_from(FUZZ_FRAGMENTS), max_size=5).map("".join)
+FUZZ_CERTIFICATE = """\
+vars: u,y
+main: y
+mode: full
+m: 1
+n: 1
+F: y''
+A: u*(y')^2 + (y')^2 - 4*y
+G: 4*u*y' - 4*u'*y + 4*y'
+cofactor.0: -u'
+cofactor.1: u + 1
+"""
+FUZZ_CERTIFICATE_KEYS = ["F", "A", "G", "cofactor.0", "cofactor.1"]
+
+
+def assert_error_contract(argv: list[str], stdin_text: str = "") -> None:
+    """Exit 0 with an empty stderr, or exit 1 or 2 with an empty stdout and
+    one ``error: `` line; nothing may escape run()."""
+    code, out, err = run(argv, stdin_text)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n")
+        assert len(err.splitlines()) == 1
 
 
 def assert_one_parse_error(argv: list[str], stdin_text: str) -> None:
@@ -449,6 +512,36 @@ class TestExitCodes:
         assert_one_parse_error(command + ["--leader=-y"], "")
         assert run(command + ["--leader", "1*y"]) == (0, "u\n", "")
 
+    @pytest.mark.parametrize("argv", DOUBLE_DASH_VALUES)
+    def test_double_dash_option_value_is_text(self, argv):
+        assert run(argv) == (1, "", DOUBLE_DASH_ERROR)
+
+    def test_double_dash_declaration_is_text(self):
+        assert run(["parse", "--vars=--", "y"]) == (
+            1, "", "error: usage: invalid indeterminate name '--'\n",
+        )
+        assert run(["parse", "--vars", "u,y", "--main=--", "y"]) == (
+            1, "", "error: unknown-indeterminate: indeterminate '--' is not declared\n",
+        )
+
+    def test_error_line_holds_no_line_break(self):
+        for argv in [
+            ["parse", "--vars", "u,y", "y", "a\nb"],
+            ["resultant", "--vars", "u,y", "--first=y", "--second=y", "--leader=\n1/2"],
+        ]:
+            code, out, err = run(argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1
+        # Every character str.splitlines() breaks at: the pieces of all code
+        # points in order each end at one.
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        breaks = [line[-1] for line in everything.splitlines(keepends=True)[:-1]]
+        assert "\n" in breaks and "\u2029" in breaks
+        for c in breaks:
+            code, out, err = run(["parse", "--vars", "u,y", "y", f"a{c}b{c}"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: usage: ") and len(err.splitlines()) == 1
+
     def test_undeclared_indeterminate_is_exit_one(self):
         code, _, err = run(["parse", "--vars", "u,y", "w"])
         assert code == 1
@@ -515,3 +608,27 @@ class TestExitCodes:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "reduce" in out
+
+
+class TestErrorContractFuzz:
+    """Short texts of fixed fragments, in every text slot of every command."""
+
+    @settings(deadline=None, max_examples=1000)
+    @given(st.sampled_from(FUZZ_COMMANDS), st.lists(fuzz_texts, min_size=3, max_size=3))
+    def test_commands(self, command, texts):
+        head, flags = command
+        argv = [*head, "--vars", "u,y"]
+        for flag, text in zip(flags, texts):
+            argv.append(text if flag is None else f"{flag}={text}")
+        assert_error_contract(argv)
+
+    def test_certificate_is_valid(self):
+        assert run(["verify"], FUZZ_CERTIFICATE) == (0, "valid\n", "")
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(FUZZ_CERTIFICATE_KEYS), fuzz_texts)
+    def test_verify(self, key, text):
+        lines = FUZZ_CERTIFICATE.splitlines(keepends=True)
+        (i,) = [i for i, line in enumerate(lines) if line.startswith(f"{key}: ")]
+        lines[i] = f"{key}: {text}\n"
+        assert_error_contract(["verify"], "".join(lines))

@@ -67,6 +67,22 @@ CASES = [
         id="coefficient-past-digit-limit",
         marks=pytest.mark.skipif(INT_DIGITS == 0, reason="int-to-str conversion has no limit"),
     ),
+    # Before Python 3.13, argparse stored "--flag=--" as an empty list.
+    pytest.param(
+        *_error(["reduce", "--vars", "u,y", "--dividend=--", "--divisor=y"], "parse-error"),
+        id="dividend-double-dash",
+    ),
+    pytest.param(
+        *_error(["witness", "--vars", "u,y", "--target=--"], "parse-error"),
+        id="target-double-dash",
+    ),
+    pytest.param(
+        *_error(
+            ["resultant", "--vars", "u,y", "--first=--", "--second=y", "--leader=y"],
+            "parse-error",
+        ),
+        id="first-double-dash",
+    ),
 ]
 
 

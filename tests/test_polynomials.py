@@ -577,3 +577,10 @@ class TestPackedKeys:
             assert absent not in terms
         with pytest.raises(TypeError):
             terms[uy1] = 1
+        assert terms == {uy1: 3, _power(DerivVar("y", 0)): -1}
+        # Monomials the context cannot pack: an undeclared name, and y^(4096),
+        # whose field lies past 4095.
+        for unpackable in (_power(DerivVar("w", 0)), _power(DerivVar("y", 4096))):
+            with pytest.raises(KeyError):
+                terms[unpackable]
+            assert terms.get(unpackable) is None
