@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="diffalg", description="Exact differential-polynomial toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -77,16 +77,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p = command(name, "parse surface text and print its canonical form")
         p.add_argument("expr")
 
-    return parser
+    return parser, sub.choices
 
 
-# argparse parsers keep no state between parse_args calls, so one serves
-# every run(); building it costs more than a small command.
-_PARSER = _build_parser()
+# argparse parsers keep no state between parse_args calls, so one set serves
+# every run().  The top parser has no option but -h and hands every token after
+# a command name to that command's parser, so a known name goes there directly,
+# skipping a pass as costly; help and usage text come from the same parsers.
+_PARSER, _COMMANDS = _build_parser()
 
 _DETAIL_MAX = 200
 # Every character str.splitlines() breaks at, written as its escape.
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        return _COMMANDS[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _PARSER.parse_args(argv)
 
 
 def _context(args) -> Context:
@@ -181,7 +189,7 @@ def run(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
     err = io.StringIO()
     try:
         with redirect_stdout(out):
-            args = _PARSER.parse_args(argv)
+            args = _parse(argv)
             # Before Python 3.13, argparse drops the text "--" of "--flag=--"
             # and stores an empty list; every option here takes one text.
             vars(args).update({name: "--" for name, value in vars(args).items() if value == []})

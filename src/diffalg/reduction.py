@@ -37,7 +37,7 @@ from typing import Mapping
 from .errors import ConstantDivisor
 from .elimination import _pseudo_divide
 from .polynomials import DerivVar, DiffPoly, _degree, _shift, _sum, _sum_of_products
-from .ranking import Comparison, initial, rank_compare, rank_profile, separant
+from .ranking import initial, rank_profile, separant
 
 
 class ReductionMode(Enum):
@@ -189,6 +189,7 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
         if h is not None and h > profile.order:
             return VerificationResult(False, "rank")
     elif not cert.remainder.is_zero:
-        if rank_compare(cert.remainder, divisor, main) is not Comparison.LESS:
+        rest = rank_profile(cert.remainder, main)
+        if not rest.is_constant and (rest.order, rest.degree) >= (profile.order, profile.degree):
             return VerificationResult(False, "rank")
     return VerificationResult(True)

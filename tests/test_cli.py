@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import random
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg.cli import run
+from diffalg.cli import _COMMANDS, _PARSER, _UsageError, _parse, run
 
 import _corpus
 from diffalg import (
@@ -100,6 +102,64 @@ cofactor.0: -u'
 cofactor.1: u + 1
 """
 FUZZ_CERTIFICATE_KEYS = ["F", "A", "G", "cofactor.0", "cofactor.1"]
+
+
+# Usage lines recorded before known commands skipped the top parser.
+COMMAND_CHOICES = (
+    "(choose from 'reduce', 'verify', 'witness', 'resultant', 'discriminant', "
+    "'initial', 'separant', 'rank', 'degree-bound', 'membership', 'parse', 'format')"
+)
+REDUCE_FLAGS = ["reduce", "--vars", "u,y"]
+USAGE_LINES = [
+    ([], "the following arguments are required: command"),
+    (["nosuch"], f"argument command: invalid choice: 'nosuch' {COMMAND_CHOICES}"),
+    (
+        [*REDUCE_FLAGS, "--div=y", "--divisor=y"],
+        "ambiguous option: --div=y could match --dividend, --divisor",
+    ),
+    (
+        [*REDUCE_FLAGS, "--dividend=y", "--divisor=y", "extra"],
+        "unrecognized arguments: extra",
+    ),
+]
+# Recorded on 3.10.13, 3.11.7, 3.12.1 and 3.13.0; 3.13.13 drops the leading
+# "--" and parses "reduce" as the command.
+LEADING_DOUBLE_DASH_KEPT = sys.version_info < (3, 12, 2) or sys.version_info[:3] == (3, 13, 0)
+LEADING_DOUBLE_DASH_DROPPED = sys.version_info >= (3, 13, 13)
+
+# Every flag in both the --f=v and the --f v form, prefixes that argparse
+# refuses (--div) and accepts (--dividen), and tokens argparse treats apart.
+DISPATCH_FLAGS = [
+    "--vars", "--main", "--dividend", "--divisor", "--target", "--minimal",
+    "--first", "--second", "--leader", "--poly",
+]
+DISPATCH_FRAGMENTS = [
+    *DISPATCH_FLAGS, *(f"{flag}=y" for flag in DISPATCH_FLAGS), "u,y", "y",
+    "--div=y", "--dividen=y", "--weak", "--weak=1", "--", "--vars=--",
+    "-h", "--he", "-x", "-1", "", "-", "extra",
+]
+dispatch_tokens = st.sampled_from([*_COMMANDS, *DISPATCH_FRAGMENTS])
+dispatch_argvs = st.one_of(
+    st.builds(
+        lambda name, rest: [name, *rest],
+        st.sampled_from(list(_COMMANDS)),
+        st.lists(dispatch_tokens, max_size=7),
+    ),
+    st.lists(dispatch_tokens, max_size=4),
+)
+
+
+def parse_outcome(parse, argv: list[str]):
+    """The namespace, usage message or help exit of one parse, with its output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            result = ("namespace", vars(parse(argv)))
+    except _UsageError as exc:
+        result = ("usage", str(exc))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
 
 
 def assert_error_contract(argv: list[str], stdin_text: str = "") -> None:
@@ -608,6 +668,39 @@ class TestExitCodes:
         code, out, _ = run(["--help"])
         assert code == 0
         assert "reduce" in out
+
+
+class TestDispatch:
+    """A known command goes straight to its own parser; everything else and
+    every message must stay as the top parser gives it."""
+
+    @settings(deadline=None, max_examples=1000)
+    @given(dispatch_argvs)
+    def test_same_result_as_top_parser(self, argv):
+        assert parse_outcome(_parse, argv) == parse_outcome(_PARSER.parse_args, argv)
+
+    @pytest.mark.parametrize("argv, detail", USAGE_LINES)
+    def test_usage_line(self, argv, detail):
+        assert run(argv) == (1, "", f"error: usage: {detail}\n")
+
+    @pytest.mark.skipif(
+        not LEADING_DOUBLE_DASH_KEPT, reason="recorded on 3.10.13, 3.11.7, 3.12.1 and 3.13.0"
+    )
+    def test_leading_double_dash_is_an_invalid_choice(self):
+        detail = f"argument command: invalid choice: '--' {COMMAND_CHOICES}"
+        assert run(["--", "reduce"]) == (1, "", f"error: usage: {detail}\n")
+
+    @pytest.mark.skipif(
+        not LEADING_DOUBLE_DASH_DROPPED, reason="recorded on 3.13.13"
+    )
+    def test_leading_double_dash_is_dropped(self):
+        detail = "the following arguments are required: --vars, --dividend, --divisor"
+        assert run(["--", "reduce"]) == (1, "", f"error: usage: {detail}\n")
+
+    def test_command_help(self):
+        code, out, err = run(["reduce", "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: diffalg reduce")
 
 
 class TestErrorContractFuzz:

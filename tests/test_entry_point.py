@@ -25,6 +25,8 @@ REDUCE = ["reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "(y')^2 -
 REDUCE_NONCONSTANT_INITIAL = [
     "reduce", "--vars", "u,y", "--dividend", "y''", "--divisor", "(u+1)*(y')^2 - 4*y",
 ]
+# The same division with each flag in the --flag=value form.
+REDUCE_FLAG_FORMS = ["reduce", "--vars=u,y", "--dividend=y''", "--divisor=(y')^2 - 4*y"]
 TOP = "9223372036854775807"  # 2^63 - 1
 
 
@@ -45,6 +47,11 @@ def _error(argv: list[str], slug: str):
 
 CASES = [
     pytest.param(["verify"], REDUCE, None, 0, "valid\n", None, id="reduce-pipe-verify"),
+    pytest.param(
+        ["verify"], [*REDUCE_FLAG_FORMS, "--weak"], None, 0, "valid\n", None,
+        id="reduce-weak-pipe-verify",
+    ),
+    pytest.param(*_error(["nosuch"], "usage"), id="unknown-command"),
     pytest.param(*_error(["parse", "--vars", "y", "y +"], "parse-error"), id="parse-error"),
     pytest.param(
         ["verify"], REDUCE_NONCONSTANT_INITIAL, ("m: 1", "m: 100000000"),
@@ -104,3 +111,9 @@ def test_entry_point(argv, upstream, edit, code, stdout, slug):
     else:
         assert done.stderr.startswith(f"error: {slug}: ")
         assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+
+
+def test_command_help():
+    done = _cli(["reduce", "--help"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: diffalg reduce")

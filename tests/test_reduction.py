@@ -151,6 +151,20 @@ class TestVerifier:
         result = verify_certificate(fake)
         assert not result.valid and result.reason == "rank"
 
+    @pytest.mark.parametrize(
+        "remainder", ["u + 1", "y^7", "y'*y^3 + u", "(y')^2", "(u+1)*(y')^3", "y''"]
+    )
+    def test_rank_check_agrees_with_rank_compare(self, remainder):
+        # F = G with no cofactor: the identity holds, only the rank decides.
+        A = P("(y')^2 - 4*y")
+        G = P(remainder)
+        fake = dataclasses.replace(
+            ritt_reduce(A, A, "y", FULL), dividend=G, remainder=G, cofactors={}
+        )
+        result = verify_certificate(fake)
+        assert result.valid == (rank_compare(G, A, "y") is Comparison.LESS)
+        assert result.valid or result.reason == "rank"
+
     def test_detects_mode_violation(self):
         # A full certificate with m > 0 relabelled as weak keeps the identity
         # but breaks the weak-mode contract.
