@@ -25,6 +25,14 @@ built on each access, from each key's ``Monomial``, the frozenset of its
 (DerivVar, exponent) pairs, to its coefficient; ``DiffPoly(ctx, terms)``
 packs them back.
 
+Printing and coefficient selection use graded lexicographic order: total
+degree, then exponents from the highest variable down, variables ranked by
+(declaration index, order).  ``_graded_order`` sorts keys so without
+decoding them: one stable sort per name, first to last, by the key masked
+to that name's fields, then one by total degree, the key modulo 2**64 - 1.
+That is exact while no field reaches 2**52, as a key has at most 4096
+fields; else the fields are summed one by one.
+
 Every product and every sum of products, such as a step lc(b)*r_i -
 lc(r)*b_i of pseudo-division or the certificate identity that
 ``reduction.verify_certificate`` checks, is built by ``_combination`` in
@@ -38,7 +46,7 @@ import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import or_
 from types import MappingProxyType
@@ -56,6 +64,8 @@ _MASK = (1 << _FIELD) - 1
 _GUARD = 1 << (_FIELD - 1)
 # The guard bit of every field a key may have.
 _GUARDS = int.from_bytes(_GUARD.to_bytes(_FIELD // 8, "little") * _FIELDS, "little")
+# The top 12 bits of every field a key may have: bit 0 of each, times 12 bits.
+_HIGH = (_GUARDS >> _FIELD - 1) * (_MASK >> _FIELD - 12 << _FIELD - 12)
 
 
 def _exponents(key: int) -> memoryview:
@@ -75,13 +85,6 @@ def _checked(terms: dict[int, Scalar], bits: int = 0) -> dict[int, Scalar]:
     if bits >> _FIELD * _FIELDS:
         raise ExponentOutOfRange(f"a derivative past field {_FIELDS - 1}")
     return terms
-
-
-def _times(ka: int, kb: int) -> int:
-    """The key of the product of two monomials: one key addition."""
-    if (key := ka + kb) & _GUARDS:
-        raise ExponentOutOfRange("an exponent reaches 2**63")
-    return key
 
 
 def _combination(
@@ -246,17 +249,33 @@ class Monomial(frozenset):
         return super().__new__(cls, pairs)
 
 
-def monomial_key(key: int, ctx: Context):
-    """Graded lexicographic sort key of a packed key.
+@lru_cache(maxsize=64)
+def _name_mask(n: int, fields: int) -> int:
+    """The mask of the fields of the first of ``n`` names, up to field number
+    ``fields`` or a little past it; shifted by ``_FIELD * i``, of the i-th."""
+    pattern = b"\xff" * (_FIELD // 8) + bytes(_FIELD // 8 * (n - 1))
+    return int.from_bytes(pattern * -(-fields // n), "little")
 
-    Total degree compares first; ties read exponents from the highest
-    variable down, variables ordered by (declaration index, derivative
-    order).
-    """
-    exps = _exponents(key)
-    n = len(ctx.names)
-    ranked = sorted([(f % n, f // n, e) for f, e in enumerate(exps) if e], reverse=True)
-    return (sum(exps), tuple(ranked))
+
+def _degree_read(top: int):
+    """The total degree of a key whose set bits lie in ``top``."""
+    return (lambda key: sum(_exponents(key))) if top & _HIGH else _MASK.__rmod__
+
+
+def _graded_order(ctx: Context, keys: Iterable[int]) -> list[int]:
+    """``keys`` in descending graded lexicographic order (see the module
+    docstring).  A name's masked fields compare as an int from its highest
+    order down.  The first sort compares whole keys: where they differ
+    outside the first name's fields, a later sort decides."""
+    order = sorted(keys, reverse=True)
+    if len(order) > 1:
+        n = len(ctx.names)
+        top = reduce(or_, order)
+        first = _name_mask(n, -(-top.bit_length() // _FIELD))
+        for i in range(1, n):
+            order.sort(key=(first << _FIELD * i).__and__, reverse=True)
+        order.sort(key=_degree_read(top), reverse=True)
+    return order
 
 
 def _scalar(c: Scalar) -> Scalar:
@@ -470,9 +489,8 @@ def _split(p: DiffPoly, name: str) -> dict[int, DiffPoly]:
     """``p`` as a sum of head * rest, by head: the key of a monomial's
     factors in the derivatives of ``name``; each rest is free of them."""
     ctx = p.ctx
-    # The fields of name's derivatives are every len(ctx.names)-th one.
     fields = -(-max(p._terms, default=0).bit_length() // _FIELD)
-    on_name = sum(_MASK << _FIELD * f for f in range(ctx.index(name), fields, len(ctx.names)))
+    on_name = _name_mask(len(ctx.names), fields) << _FIELD * ctx.index(name)
     groups: dict[int, dict[int, Scalar]] = {}
     for key, c in p._terms.items():
         head = key & on_name
@@ -482,7 +500,7 @@ def _split(p: DiffPoly, name: str) -> dict[int, DiffPoly]:
 
 def _degree(p: DiffPoly) -> int:
     """Total degree; -1 for the zero polynomial."""
-    return max((sum(_exponents(key)) for key in p._terms), default=-1)
+    return max(map(_degree_read(reduce(or_, p._terms, 0)), p._terms), default=-1)
 
 
 def _shift(p: DiffPoly, var: DerivVar, power: int) -> DiffPoly:

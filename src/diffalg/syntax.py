@@ -23,17 +23,20 @@ derivative orders stay below 2**63; a numerator or denominator may have as
 many significant digits as ``int()`` converts.
 ``y'''`` and ``y^(3)`` denote the same variable; the printer uses primes
 up to order 3 and the caret form above.  Canonical output lists terms in
-descending monomial order with reduced fractional coefficients; the zero
-polynomial prints as "0".
+descending graded lexicographic order with reduced fractional
+coefficients; the zero polynomial prints as "0".  The printer decodes each
+key once, at one width, by (declaration index, order), and renders each
+distinct power of a variable once per call.
 
 Text in the printer's own shape is first read by a lane without tokens:
 terms joined by exactly " + " or " - " after an optional leading "-", each
 an optional ASCII coefficient ``n`` or ``n/d`` and then '*'-joined factors
 ``x``, ``x`` with primes, ``x^(k)``, ``x^e``, ``(x')^e`` or ``(x^(k))^e``.
-The lane splits at the separators and at '*' and reads each distinct factor
-text once per call.  It declines any other text, and any text on which the
-descent would raise; the descent then reads the whole text from the start.
-So every error, with its position and message, comes from the descent.
+The lane splits at the separators and at '*', reads each distinct factor
+text once per call, and sums terms in one map as the descent does.  It
+declines any other text, and any text on which the descent would raise;
+the descent then reads the whole text from the start.  So every error,
+with its position and message, comes from the descent.
 """
 
 from __future__ import annotations
@@ -41,10 +44,14 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
+from struct import Struct
 
-from .errors import ExponentOutOfRange, ParseError, UnknownIndeterminate
-from .polynomials import _IDENT_RE, Context, DerivVar, DiffPoly, Scalar, monomial_key
-from .polynomials import _collect, _power, _product, _scalar, _times
+from .errors import ExponentOutOfRange, ParseError
+from .polynomials import _FIELD, _FIELDS, _GUARDS, _IDENT_RE, Context, DerivVar, DiffPoly, Scalar
+from .polynomials import _collect, _graded_order, _power, _product, _scalar
 
 _WORD_MAX = 2**63 - 1
 # Each open parenthesis costs four parser frames; this keeps deep input
@@ -215,17 +222,17 @@ def _factor_key(text: str, ctx: Context) -> int | None:
     _, name, primes, caret, exponent = m.groups()
     order = len(primes) if primes else _natural(caret, word=True) if caret else 0
     power = _natural(exponent, word=True) if exponent else 1
-    if order is None or power is None:
+    i = ctx._index.get(name)
+    if order is None or power is None or i is None:
         return None
-    try:
-        [key] = ctx._var_terms(name, order, power)
-    except (UnknownIndeterminate, ExponentOutOfRange):
-        return None
-    return key
+    field = order * len(ctx.names) + i
+    return power << _FIELD * field if field < _FIELDS else None
 
 
 def _coefficient(text: str) -> Scalar | None:
     """The value of an ASCII ``n`` or ``n/d``, or None to decline it."""
+    if len(text) <= 18 and text.isdigit() and text.isascii():
+        return int(text)  # below 10**18: no digit limit applies
     numerator, slash, denominator = text.partition("/")
     if not (text.isascii() and numerator.isdigit() and (denominator.isdigit() or not slash)):
         return None
@@ -246,7 +253,7 @@ def _read_canonical(text: str, ctx: Context) -> dict[int, Scalar] | None:
     negate = text[:1] == "-"
     pieces = _SEPARATOR_RE.split(text[negate:])
     keys: dict[str, int] = {}
-    pairs: list[tuple[int, Scalar]] = []
+    terms: dict[int, Scalar] = {}
     for j in range(0, len(pieces), 2):
         if j:
             negate = pieces[j - 1] == "-"
@@ -263,13 +270,18 @@ def _read_canonical(text: str, ctx: Context) -> dict[int, Scalar] | None:
                 k = keys[factor] = _factor_key(factor, ctx)
                 if k is None:
                     return None
-            try:
-                key = _times(key, k)
-            except ExponentOutOfRange:  # the descent's product raises too
+            key += k
+            if key & _GUARDS:  # the descent's product raises
                 return None
         if c:
-            pairs.append((key, -c if negate else c))
-    return _collect(pairs)
+            # Summed as _collect sums: a key that cancels leaves the map.
+            c = -c if negate else c
+            s = terms[key] + c if key in terms else c
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+    return terms
 
 
 def _descend(text: str, ctx: Context) -> dict[int, Scalar]:
@@ -302,34 +314,44 @@ def _render_power(var: DerivVar, exponent: int) -> str:
     return f"{body}^{exponent}"
 
 
+@lru_cache(maxsize=64)
+def _layout(n: int, orders: int) -> tuple:
+    """The fields of keys ``orders`` orders deep over ``n`` names, by
+    (declaration index, order); a picker of them, the decoder, the width."""
+    fields = tuple(k * n + i for i in range(n) for k in range(orders))
+    pick = itemgetter(*fields) if len(fields) > 1 else tuple
+    return fields, pick, Struct(f"<{len(fields)}Q").unpack, len(fields) * _FIELD // 8
+
+
+class _Powers(dict):
+    """Exponent to the text of a power of the variable whose (name, order)
+    is at key 0, which no factor's exponent is; each rendered once."""
+
+    def __missing__(self, exponent: int) -> str:
+        text = self[exponent] = _render_power(DerivVar(*self[0]), exponent)
+        return text
+
+
 def format_poly(p: DiffPoly) -> str:
     """Canonical text: descending monomial order, reduced coefficients."""
     if p.is_zero:
         return "0"
     names = p.ctx.names
-    # Distinct keys have distinct sort keys, so no two coefficients compare.
-    ordered = sorted(((monomial_key(key, p.ctx), c) for key, c in p._terms.items()), reverse=True)
-    rendered: dict[tuple[int, int, int], str] = {}  # each distinct factor once
+    n = len(names)
+    fields, pick, unpack, size = _layout(n, -(-max(p._terms).bit_length() // (_FIELD * n)))
+    powers = [_Powers({0: (names[f % n], f // n)}) for f in fields]
     pieces: list[str] = []
-    for (_, ranked), coeff in ordered:
-        # ``ranked`` is the descending (index, order, exp) tuple of monomial_key;
-        # reversed, it lists the factors by (declaration index, order).
-        parts = []
-        for factor in reversed(ranked):
-            if factor not in rendered:
-                i, order, exp = factor
-                rendered[factor] = _render_power(DerivVar(names[i], order), exp)
-            parts.append(rendered[factor])
+    order = _graded_order(p.ctx, p._terms)
+    for key, coeff in zip(order, map(p._terms.__getitem__, order)):
+        exps = pick(unpack(key.to_bytes(size, "little")))
+        body = "*".join(map(dict.__getitem__, compress(powers, exps), filter(None, exps)))
         magnitude = abs(coeff)
-        if magnitude != 1 or not parts:
+        if magnitude != 1 or not body:
             try:
-                parts.insert(0, str(magnitude))
+                body = f"{magnitude}*{body}" if body else str(magnitude)
             except ValueError:  # more digits than int-to-str conversion allows
                 limit = sys.get_int_max_str_digits()
                 raise ExponentOutOfRange(f"a coefficient of more than {limit} digits") from None
-        body = "*".join(parts)
-        if pieces:
-            pieces.append(f" - {body}" if coeff < 0 else f" + {body}")
-        else:
-            pieces.append(f"-{body}" if coeff < 0 else body)
+        pieces += (" - " if coeff < 0 else " + ", body)
+    pieces[0] = "-" if pieces[0] == " - " else ""  # the first separator is a sign
     return "".join(pieces)

@@ -28,7 +28,7 @@ from .errors import (
     VanishingResultant,
     ZeroTarget,
 )
-from .polynomials import DiffPoly, _split, monomial_key
+from .polynomials import DiffPoly, _graded_order, _split
 from .ranking import _proper_profile, rank_profile, initial
 from .reduction import ReductionCertificate, ReductionMode, ritt_reduce
 from .elimination import as_leader_poly, discriminant, resultant
@@ -73,7 +73,7 @@ def select_coefficient(p: DiffPoly, main: str) -> DiffPoly:
     if p.is_zero:
         raise ZeroTarget("cannot select a coefficient of the zero polynomial")
     groups = _split(p, main)
-    return groups[min(groups, key=lambda head: monomial_key(head, p.ctx))]
+    return groups[_graded_order(p.ctx, groups)[-1]]
 
 
 def chevalley_witness(

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import struct
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diffalg import (
     Context,
@@ -22,11 +23,13 @@ from diffalg import (
     as_leader_poly,
     chevalley_witness,
     exact_div,
+    format_poly,
     parse_poly,
     resultant,
 )
 from diffalg.elimination import _pseudo_divide
-from diffalg.polynomials import _collect, _combination, _product
+from diffalg.cli import run
+from diffalg.polynomials import _collect, _combination, _degree, _graded_order, _name_mask, _product
 from diffalg.reduction import ReductionCertificate, ReductionMode, verify_certificate
 
 import _corpus
@@ -363,6 +366,17 @@ class TestCoefficientTypes:
                 assert _all_ints(part), (A, B)
 
 
+def monomial_key(key: int, ctx: Context):
+    """Graded lexicographic sort key of a packed key, by decoding it: total
+    degree first, then the (declaration index, order, exponent) triples of
+    its factors from the highest variable down."""
+    n = len(ctx.names)
+    size = -(-key.bit_length() // 64)
+    exps = struct.unpack(f"<{size}Q", key.to_bytes(8 * size, "little"))
+    ranked = sorted([(f % n, f // n, e) for f, e in enumerate(exps) if e], reverse=True)
+    return (sum(exps), tuple(ranked))
+
+
 # Reference arithmetic on ``terms`` views with plain dicts of Monomials.
 
 def _add_exponents(mono: Monomial, changes) -> Monomial:
@@ -584,3 +598,70 @@ class TestPackedKeys:
             with pytest.raises(KeyError):
                 terms[unpackable]
             assert terms.get(unpackable) is None
+
+
+ORDER_CONTEXTS = [Context("y"), CTX, Context("u", "v", "y"), Context("a", "b", "c", "d", "e")]
+
+
+@st.composite
+def _key_lists(draw):
+    """A Context and distinct keys over it, with fields up to 4095.  Fields
+    below 12 and exponents up to 3 make ties in degree and in variables
+    common.  In about half the examples exponents also reach [2**52,
+    2**63 - 1], where a key's degree is no longer read modulo 2**64 - 1."""
+    ctx = draw(st.sampled_from(ORDER_CONTEXTS))
+    exponent = st.integers(1, 3) | st.integers(1, 2**52 - 1)
+    if draw(st.booleans()):
+        exponent |= st.integers(2**52, 2**63 - 1)
+    field = st.integers(0, 11) | st.integers(0, 4095)
+    key = st.dictionaries(field, exponent, max_size=4).map(
+        lambda exps: sum(e << 64 * f for f, e in exps.items())
+    )
+    return ctx, draw(st.lists(key, max_size=8, unique=True))
+
+
+class TestGradedOrder:
+    """``_graded_order`` and ``_degree`` read keys without decoding them;
+    the decoding ``monomial_key`` is the oracle."""
+
+    @settings(max_examples=300)
+    @given(_key_lists())
+    # Equal degrees: y^2 against y*y', which differ in the first name only,
+    # and u*v' against u'*v over (u, v, y).
+    @example((Context("y"), [2, (1 << 64) + 1]))
+    @example((ORDER_CONTEXTS[2], [1 + (1 << 256), (1 << 192) + (1 << 64)]))
+    def test_matches_decoding_oracle(self, args):
+        ctx, keys = args
+        assert _graded_order(ctx, keys) == sorted(
+            keys, key=lambda key: monomial_key(key, ctx), reverse=True
+        )
+        degrees = [monomial_key(key, ctx)[0] for key in keys]
+        assert _degree(DiffPoly._raw(ctx, dict.fromkeys(keys, 1))) == max(degrees, default=-1)
+        for key, degree in zip(keys, degrees):
+            assert _degree(DiffPoly._raw(ctx, {key: 1})) == degree
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_name_masks_cover_every_nth_field(self, n):
+        for fields in (1, n, 7, 4096):
+            for i in range(n):
+                mask = _name_mask(n, fields) << 64 * i
+                wanted = sum((1 << 64) - 1 << 64 * f for f in range(i, fields, n))
+                assert mask & (1 << 64 * fields) - 1 == wanted
+                assert mask >> 64 * fields << 64 * fields == mask - wanted
+                assert (mask - wanted).bit_length() <= 64 * (fields + n)
+
+    def test_fields_summing_past_two_to_the_64(self):
+        # 3 * (2**63 - 1) exceeds 2**64 - 1, so the key modulo 2**64 - 1
+        # is not the degree; the top bits of the fields send it to the sum.
+        text = "u^9223372036854775807*v^9223372036854775807*y^9223372036854775807"
+        ctx = Context("u", "v", "y")
+        p = parse_poly(text, ctx)
+        assert _degree(p) == 3 * (2**63 - 1)
+        assert _degree(p) != next(iter(p._terms)) % (2**64 - 1)
+        assert format_poly(p) == text and parse_poly(format_poly(p), ctx) == p
+        code, cert, _ = run(
+            ["reduce", "--vars", "u,v,y", f"--dividend={text}*y'", "--divisor=y' + v'"]
+        )
+        assert code == 0 and "mode: full" in cert
+        assert f"cofactor.0: {text}" in cert.splitlines()
+        assert run(["verify"], cert) == (0, "valid\n", "")

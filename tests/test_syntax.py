@@ -19,10 +19,9 @@ from diffalg import (
     format_poly,
     parse_poly,
 )
-from diffalg.polynomials import monomial_key
-from diffalg.syntax import _descend, _render_power
+from diffalg.syntax import _descend, _read_canonical, _render_power
 
-from test_polynomials import WIDE, _polys_over, polys
+from test_polynomials import WIDE, _polys_over, monomial_key, polys
 
 CTX = Context("u", "y")
 
@@ -364,7 +363,8 @@ class TestParserOracle:
 
 
 def _reference_format(p: DiffPoly) -> str:
-    """Terms sorted by monomial_key, each factor rendered by _render_power."""
+    """Terms sorted by the decoding oracle monomial_key, each factor
+    rendered by _render_power."""
     ctx = p.ctx
     pieces = []
     for key in sorted(p._terms, key=lambda key: monomial_key(key, ctx), reverse=True):
@@ -428,6 +428,58 @@ class TestCanonicalLane:
         ctx, text = args
         lane = _outcome(lambda t, c: parse_poly(t, c)._terms, text, ctx)
         assert lane == _outcome(_descend, text, ctx)
+
+
+Y = 1 << 64  # the key of y over (u, y); u is 1 and y' is 1 << 192
+
+
+class TestCanonicalReaderRows:
+    """Pinned inputs of the canonical reader: whether it reads or declines
+    the text, and the term map's items in order, recorded before the reader
+    summed terms in place.  Each row also equals the descent."""
+
+    @pytest.mark.parametrize(
+        "text, names, reads, items",
+        [
+            # Repeated and cancelling monomials: keys in _collect's order.
+            ("u + u", "u,y", True, [(1, 2)]),
+            ("u - u + y", "u,y", True, [(Y, 1)]),
+            ("y + u - y + u", "u,y", True, [(1, 2)]),
+            ("2*u*y - u*y - u*y", "u,y", True, []),
+            # Coefficients of 18, 19 and 20 digits.
+            (
+                "999999999999999999*u - 100000000000000000*y", "u,y", True,
+                [(1, 999999999999999999), (Y, -100000000000000000)],
+            ),
+            (
+                "1000000000000000000*u*y + 9999999999999999999", "u,y", True,
+                [(Y + 1, 1000000000000000000), (0, 9999999999999999999)],
+            ),
+            (
+                "-12345678901234567890*y' + 10000000000000000000/3", "u,y", True,
+                [(1 << 192, -12345678901234567890), (0, Fraction(10000000000000000000, 3))],
+            ),
+            ("007*u", "u,y", True, [(1, 7)]),
+            ("0*u + y", "u,y", True, [(Y, 1)]),
+            ("٣*u", "u,y", False, [(1, 3)]),
+            (
+                "y^(4096)", "y", False,
+                (ExponentOutOfRange, "exponent-out-of-range", None, None, None,
+                 "order 4096 of y past field 4095"),
+            ),
+            (
+                "w + u", "u,y", False,
+                (UnknownIndeterminate, "unknown-indeterminate", None, None, None,
+                 "indeterminate 'w' is not declared"),
+            ),
+        ],
+    )
+    def test_row(self, text, names, reads, items):
+        ctx = Context(*names.split(","))
+        assert (_read_canonical(text, ctx) is not None) == reads
+        outcome = _outcome(lambda t, c: parse_poly(t, c)._terms, text, ctx)
+        assert outcome == items
+        assert outcome == _outcome(_descend, text, ctx)
 
 
 class TestFormatOracle:

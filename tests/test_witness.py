@@ -21,6 +21,7 @@ from diffalg import (
     chevalley_witness,
     degree_bound,
     discriminant,
+    format_poly,
     parse_poly,
     rank_profile,
     resultant,
@@ -55,6 +56,35 @@ class TestSelectCoefficient:
 
     def test_scalar_coefficient(self):
         assert select_coefficient(P("-16*y"), "y") == CTX.constant(-16)
+
+    @pytest.mark.parametrize(
+        "text, names, main, chosen",
+        [
+            # Heads of different total degree.
+            ("u*y^2 + u'*y'", "u,y", "y", "u'"),
+            ("y*u^2 + y'*u'", "u,y", "u", "y'"),
+            ("u*v'' + y*v*v' + 7*u'*v^3", "u,v,y", "v", "u"),
+            ("u*y^(5) + v*(y')^4*y", "u,v,y", "y", "u"),
+            # Heads of equal degree that differ in order or in exponent.
+            ("u*y*y'' + u'*(y')^2", "u,y", "y", "u'"),
+            ("u*v''*v + y*(v')^2", "u,v,y", "v", "y"),
+            ("u*y^2*y' + u'*y*(y')^2", "u,y", "y", "u"),
+            # A constant head.
+            ("u*y + 3*u'", "u,y", "y", "3*u'"),
+            ("-2*y*u*u'' + 5*y'*(u')^2 - u", "u,y", "u", "-1"),
+            ("(u + v' + y)^3 - (u + v')^3", "u,v,y", "y", "3*(v')^2 + 6*u*v' + 3*u^2"),
+            # Exponents whose degrees are summed field by field.
+            (
+                "u^9223372036854775807*v^9223372036854775807*y + u*v*y^9223372036854775807",
+                "u,v,y", "y", "u^9223372036854775807*v^9223372036854775807",
+            ),
+            ("u*y^9223372036854775807*y' + v*(y')^9223372036854775807*y", "u,v,y", "y", "u"),
+        ],
+    )
+    def test_recorded_choice(self, text, names, main, chosen):
+        # Recorded before the order was read from masked fields.
+        ctx = Context(*names.split(","))
+        assert format_poly(select_coefficient(parse_poly(text, ctx), main)) == chosen
 
 
 class TestTranscendentalCase:
