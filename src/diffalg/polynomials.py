@@ -407,8 +407,10 @@ class DiffPoly:
     def order_in(self, name: str) -> int | None:
         """Largest derivative order of ``name`` present, or None if absent."""
         i, n = self.ctx.index(name), len(self.ctx.names)
-        present = _exponents(reduce(or_, self._terms, 0))[i::n]
-        return max((order for order, e in enumerate(present) if e), default=None)
+        top = reduce(or_, self._terms, 0)
+        # The highest set bit of name's fields lies in that of its top order.
+        present = top & _name_mask(n, -(-top.bit_length() // _FIELD)) << _FIELD * i
+        return (present.bit_length() - 1) // (_FIELD * n) if present else None
 
     def degree_in(self, var: DerivVar) -> int:
         s = self.ctx._offset(var)

@@ -178,7 +178,10 @@ def verify_certificate(cert: ReductionCertificate) -> VerificationResult:
         if left > right:
             return VerificationResult(False, "identity")
         pairs.append((-(init ** cert.m * sep ** cert.n), dividend))
-    pairs += [(cof, divisor.delta(k)) for k, cof in cert.cofactors.items()]
+    derivs = [divisor]  # delta^k(A) up to the largest k, each from the last
+    for _ in range(max(cert.cofactors, default=0)):
+        derivs.append(derivs[-1].delta())
+    pairs += [(cof, derivs[k]) for k, cof in cert.cofactors.items()]
     if not _sum_of_products(ctx, pairs).is_zero:
         return VerificationResult(False, "identity")
 

@@ -25,18 +25,20 @@ many significant digits as ``int()`` converts.
 up to order 3 and the caret form above.  Canonical output lists terms in
 descending graded lexicographic order with reduced fractional
 coefficients; the zero polynomial prints as "0".  The printer decodes each
-key once, at one width, by (declaration index, order), and renders each
-distinct power of a variable once per call.
+key once, at one width, by (declaration index, order), and memoizes the
+text of each power of a variable across calls.
 
 Text in the printer's own shape is first read by a lane without tokens:
 terms joined by exactly " + " or " - " after an optional leading "-", each
 an optional ASCII coefficient ``n`` or ``n/d`` and then '*'-joined factors
 ``x``, ``x`` with primes, ``x^(k)``, ``x^e``, ``(x')^e`` or ``(x^(k))^e``.
-The lane splits at the separators and at '*', reads each distinct factor
-text once per call, and sums terms in one map as the descent does.  It
-declines any other text, and any text on which the descent would raise;
-the descent then reads the whole text from the start.  So every error,
-with its position and message, comes from the descent.
+The lane splits at the separators and at '*', memoizes the key of each
+factor text across calls by (text, declared names), and sums terms in one
+map as the descent does.  It declines any other text, and any text on
+which the descent would raise; the descent then reads the whole text from
+the start.  So every error, with its position and message, comes from the
+descent.  Each memo table holds at most 4096 entries, and no text longer
+than ``_MEMO_CHARS`` or key wider than ``_MEMO_FIELDS`` fields.
 """
 
 from __future__ import annotations
@@ -214,25 +216,36 @@ class _Parser:
         return self.ctx._var_terms(name, order)
 
 
-def _factor_key(text: str, ctx: Context) -> int | None:
-    """The packed key of one canonical factor, or None to decline it."""
+# The longest text and the widest key, in fields, that a memo table stores.
+_MEMO_CHARS = 64
+_MEMO_FIELDS = 64
+
+
+def _factor_key(text: str, names: tuple[str, ...]) -> int | None:
+    """The packed key of one canonical factor over ``names``, or None to
+    decline it."""
     m = _FACTOR_RE.fullmatch(text)
     if m is None:
         return None
     _, name, primes, caret, exponent = m.groups()
     order = len(primes) if primes else _natural(caret, word=True) if caret else 0
     power = _natural(exponent, word=True) if exponent else 1
-    i = ctx._index.get(name)
-    if order is None or power is None or i is None:
+    if order is None or power is None or name not in names:
         return None
-    field = order * len(ctx.names) + i
+    field = order * len(names) + names.index(name)
     return power << _FIELD * field if field < _FIELDS else None
+
+
+@lru_cache(maxsize=4096)
+def _memo_factor_key(text: str, names: tuple[str, ...]) -> int | None:
+    """``_factor_key``, memoized; None also for a key past ``_MEMO_FIELDS``
+    fields, which is read again on each use."""
+    key = _factor_key(text, names)
+    return None if key is None or key >> _FIELD * _MEMO_FIELDS else key
 
 
 def _coefficient(text: str) -> Scalar | None:
     """The value of an ASCII ``n`` or ``n/d``, or None to decline it."""
-    if len(text) <= 18 and text.isdigit() and text.isascii():
-        return int(text)  # below 10**18: no digit limit applies
     numerator, slash, denominator = text.partition("/")
     if not (text.isascii() and numerator.isdigit() and (denominator.isdigit() or not slash)):
         return None
@@ -247,12 +260,13 @@ def _read_canonical(text: str, ctx: Context) -> dict[int, Scalar] | None:
     """The term map of text in the printer's shape, or None to decline it.
 
     Reads terms joined by " + " or " - " after an optional leading "-",
-    each an optional coefficient and then factors joined by "*".  Each
-    distinct factor text is matched once per call.  Declines wherever the
-    descent could raise, so errors come only from the descent."""
+    each an optional coefficient and then factors joined by "*".  The key
+    of a factor text of at most ``_MEMO_CHARS`` characters is memoized.
+    Declines wherever the descent could raise, so errors come only from the
+    descent."""
+    names = ctx.names
     negate = text[:1] == "-"
     pieces = _SEPARATOR_RE.split(text[negate:])
-    keys: dict[str, int] = {}
     terms: dict[int, Scalar] = {}
     for j in range(0, len(pieces), 2):
         if j:
@@ -260,14 +274,15 @@ def _read_canonical(text: str, ctx: Context) -> dict[int, Scalar] | None:
         factors = pieces[j].split("*")
         c: Scalar | None = 1
         if "0" <= factors[0][:1] <= "9":
-            c = _coefficient(factors.pop(0))
+            d = factors.pop(0)  # int() applies no digit limit below 10**18
+            c = int(d) if len(d) <= 18 and d.isdigit() and d.isascii() else _coefficient(d)
             if c is None:
                 return None
         key = 0
         for factor in factors:
-            k = keys.get(factor)
+            k = _memo_factor_key(factor, names) if len(factor) <= _MEMO_CHARS else None
             if k is None:
-                k = keys[factor] = _factor_key(factor, ctx)
+                k = _factor_key(factor, names)
                 if k is None:
                     return None
             key += k
@@ -305,6 +320,7 @@ def render_var(var: DerivVar) -> str:
     return f"{var.name}^({var.order})"
 
 
+@lru_cache(maxsize=4096)
 def _render_power(var: DerivVar, exponent: int) -> str:
     body = render_var(var)
     if exponent == 1:
@@ -315,21 +331,19 @@ def _render_power(var: DerivVar, exponent: int) -> str:
 
 
 @lru_cache(maxsize=64)
-def _layout(n: int, orders: int) -> tuple:
-    """The fields of keys ``orders`` orders deep over ``n`` names, by
-    (declaration index, order); a picker of them, the decoder, the width."""
+def _layout(names: tuple[str, ...], orders: int) -> tuple:
+    """The variables of keys ``orders`` orders deep over ``names``, by
+    (declaration index, order); a picker of their fields, the decoder, the
+    width, and the renderer of powers: memoized where each name has at most
+    half of ``_MEMO_CHARS`` characters, as parentheses, "^(4095)", "^" and
+    19 digits add 29."""
+    n = len(names)
     fields = tuple(k * n + i for i in range(n) for k in range(orders))
     pick = itemgetter(*fields) if len(fields) > 1 else tuple
-    return fields, pick, Struct(f"<{len(fields)}Q").unpack, len(fields) * _FIELD // 8
-
-
-class _Powers(dict):
-    """Exponent to the text of a power of the variable whose (name, order)
-    is at key 0, which no factor's exponent is; each rendered once."""
-
-    def __missing__(self, exponent: int) -> str:
-        text = self[exponent] = _render_power(DerivVar(*self[0]), exponent)
-        return text
+    variables = tuple(DerivVar(names[f % n], f // n) for f in fields)
+    memo = max(map(len, names)) <= _MEMO_CHARS // 2
+    render = _render_power if memo else _render_power.__wrapped__
+    return variables, pick, Struct(f"<{len(fields)}Q").unpack, len(fields) * _FIELD // 8, render
 
 
 def format_poly(p: DiffPoly) -> str:
@@ -337,14 +351,13 @@ def format_poly(p: DiffPoly) -> str:
     if p.is_zero:
         return "0"
     names = p.ctx.names
-    n = len(names)
-    fields, pick, unpack, size = _layout(n, -(-max(p._terms).bit_length() // (_FIELD * n)))
-    powers = [_Powers({0: (names[f % n], f // n)}) for f in fields]
+    orders = -(-max(p._terms).bit_length() // (_FIELD * len(names)))
+    variables, pick, unpack, size, render = _layout(names, orders)
     pieces: list[str] = []
     order = _graded_order(p.ctx, p._terms)
     for key, coeff in zip(order, map(p._terms.__getitem__, order)):
         exps = pick(unpack(key.to_bytes(size, "little")))
-        body = "*".join(map(dict.__getitem__, compress(powers, exps), filter(None, exps)))
+        body = "*".join(map(render, compress(variables, exps), filter(None, exps)))
         magnitude = abs(coeff)
         if magnitude != 1 or not body:
             try:

@@ -665,3 +665,26 @@ class TestGradedOrder:
         assert code == 0 and "mode: full" in cert
         assert f"cofactor.0: {text}" in cert.splitlines()
         assert run(["verify"], cert) == (0, "valid\n", "")
+
+
+class TestOrderIn:
+    """``DiffPoly.order_in`` reads the top order from the masked OR of the
+    keys; decoding every key is the oracle."""
+
+    @settings(max_examples=200)
+    @given(_key_lists())
+    @example((Context("y"), []))
+    @example((ORDER_CONTEXTS[3], [1 << 64 * 4095, 1 << 64 * 4094]))
+    def test_matches_decoding_reference(self, args):
+        ctx, keys = args
+        p = DiffPoly._raw(ctx, dict.fromkeys(keys, 1))
+        for name in ctx.names:
+            orders = [v.order for key in keys for v, _ in ctx._unpack(key) if v.name == name]
+            assert p.order_in(name) == max(orders, default=None)
+
+    @pytest.mark.parametrize("ctx", ORDER_CONTEXTS)
+    def test_zero_polynomial(self, ctx):
+        for name in ctx.names:
+            assert ctx.zero().order_in(name) is None
+        with pytest.raises(UnknownIndeterminate):
+            ctx.zero().order_in("w")

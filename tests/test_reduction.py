@@ -191,6 +191,20 @@ class TestVerifier:
         beyond = dataclasses.replace(cert, cofactors={**cert.cofactors, 2: P("u")})
         assert verify_certificate(beyond) == VerificationResult(False, "shape")
 
+    def test_derives_each_level_of_the_divisor_once(self, monkeypatch):
+        cert = ritt_reduce(P("y^(4)*y'' + u*y''' + y'"), P("(y')^2 - 4*y"), "y", FULL)
+        assert set(cert.cofactors) == {0, 1, 2, 3}
+        passes = []
+        delta = DiffPoly.delta
+
+        def counted(p, k=1):
+            passes.append(k)
+            return delta(p, k)
+
+        monkeypatch.setattr(DiffPoly, "delta", counted)
+        assert verify_certificate(cert).valid
+        assert sum(passes) == 3
+
     def test_parts_over_another_context_rejected(self):
         # The identity is summed over packed keys, whose layout is the
         # context's; parts over different indeterminates cannot be mixed.

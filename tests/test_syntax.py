@@ -19,7 +19,13 @@ from diffalg import (
     format_poly,
     parse_poly,
 )
-from diffalg.syntax import _descend, _read_canonical, _render_power
+from diffalg.syntax import (
+    _MEMO_CHARS,
+    _descend,
+    _memo_factor_key,
+    _read_canonical,
+    _render_power,
+)
 
 from test_polynomials import WIDE, _polys_over, monomial_key, polys
 
@@ -486,3 +492,109 @@ class TestFormatOracle:
     @given(st.one_of(_polys_over(CTX, 5)[1], _polys_over(WIDE, 40)[1]))
     def test_format_equals_reference(self, p):
         assert format_poly(p) == _reference_format(p)
+
+
+MEMO_CONTEXTS = [Context("u", "y"), Context("y", "u"), Context("u", "v", "y")]
+
+# (names, text, canonical text), recorded before the memo tables.
+PRINTED_ROWS = [
+    ("u,y", "y' + u", "y' + u"),
+    ("y,u", "y' + u", "u + y'"),
+    ("u,v,y", "y' + u", "y' + u"),
+    ("u,y", "3*(y')^2*u - y^(4)*u'' + 7", "3*u*(y')^2 - u''*y^(4) + 7"),
+    ("y,u", "3*(y')^2*u - y^(4)*u'' + 7", "3*(y')^2*u - y^(4)*u'' + 7"),
+    ("u,v,y", "3*(y')^2*u - y^(4)*u'' + 7", "3*u*(y')^2 - u''*y^(4) + 7"),
+    ("u,y", "-u^2*y + 1/2*y'''^5 - 1/3", "1/2*(y''')^5 - u^2*y - 1/3"),
+    ("y,u", "-u^2*y + 1/2*y'''^5 - 1/3", "1/2*(y''')^5 - y*u^2 - 1/3"),
+    ("u,v,y", "-u^2*y + 1/2*y'''^5 - 1/3", "1/2*(y''')^5 - u^2*y - 1/3"),
+    ("u,y", "(y'*u - y)^2", "u^2*(y')^2 - 2*u*y*y' + y^2"),
+    ("y,u", "(y'*u - y)^2", "(y')^2*u^2 - 2*y*y'*u + y^2"),
+    ("u,v,y", "(y'*u - y)^2", "u^2*(y')^2 - 2*u*y*y' + y^2"),
+]
+
+
+class TestMemoTables:
+    """The lane's factor keys and the printer's powers are memoized across
+    calls, keyed by the declared names, in tables of bounded size that
+    store no text longer than _MEMO_CHARS."""
+
+    def test_one_factor_text_under_three_contexts(self):
+        _memo_factor_key.cache_clear()
+        keys = []
+        for _ in range(2):
+            for ctx in MEMO_CONTEXTS:
+                terms = _read_canonical("y'", ctx)
+                assert list(terms.items()) == list(_descend("y'", ctx).items())
+                keys.append(next(iter(terms)))
+        assert keys[:3] == keys[3:] == [1 << 192, 1 << 128, 1 << 320]
+
+    def test_printing_interleaved_across_contexts(self):
+        _render_power.cache_clear()
+        for _ in range(2):
+            for names, text, printed in PRINTED_ROWS:
+                ctx = Context(*names.split(","))
+                assert format_poly(parse_poly(text, ctx)) == printed
+
+    def test_factor_memo_is_bounded(self):
+        _memo_factor_key.cache_clear()
+        ctx = Context("u", "y")
+        maxsize = _memo_factor_key.cache_info().maxsize
+        for e in range(10 * maxsize):
+            # Every seventh text is accepted, with leading zeros past the cap.
+            zeros = "0" * _MEMO_CHARS if e % 7 == 0 else ""
+            assert _read_canonical(f"y^{zeros}{e}", ctx) == {e << 64: 1}
+        assert _memo_factor_key.cache_info().currsize <= maxsize
+        # A text past the cap is read but never stored; one at the cap is.
+        _memo_factor_key.cache_clear()
+        for zeros in (10**6, _MEMO_CHARS - 2):
+            text = "y^" + "0" * zeros + "7"
+            assert len(text) > _MEMO_CHARS
+            assert _read_canonical(text, ctx) == {7 << 64: 1}
+        assert _memo_factor_key.cache_info().currsize == 0
+        at_cap = "y^" + "0" * (_MEMO_CHARS - 3) + "7"
+        assert _read_canonical(at_cap, ctx) == {7 << 64: 1}
+        assert _memo_factor_key.cache_info().currsize == 1
+
+    def test_wide_keys_are_read_but_not_stored(self):
+        # y^(100) over (y) lies in field 100, past the 64 fields a stored
+        # key may span.
+        ctx = Context("y")
+        for _ in range(2):
+            assert _read_canonical("y^(100)", ctx) == {1 << 6400: 1}
+        assert _memo_factor_key("y^(100)", ctx.names) is None
+
+    def test_power_memo_is_bounded(self):
+        _render_power.cache_clear()
+        maxsize = _render_power.cache_info().maxsize
+        for e in range(1, 10 * maxsize + 1):
+            assert format_poly(parse_poly(f"(y')^{e}", CTX)) == ("y'" if e == 1 else f"(y')^{e}")
+        assert _render_power.cache_info().currsize <= maxsize
+        # Powers of a name of at most half the cap render within it and are
+        # stored; those of a longer name never are.
+        for length, stored in [(_MEMO_CHARS, 0), (_MEMO_CHARS // 2, 1)]:
+            _render_power.cache_clear()
+            name = "z" * length
+            p = parse_poly(f"({name}^(4095))^9223372036854775807", Context(name))
+            assert (len(format_poly(p)) <= _MEMO_CHARS) == stored
+            assert _render_power.cache_info().currsize == stored
+
+    @pytest.mark.parametrize(
+        "names, text, error",
+        [
+            ("u,y", "v' + u", UnknownIndeterminate),
+            ("y", "y^(4096)", ExponentOutOfRange),
+            ("u,y", "y^99999999999999999999", ExponentOutOfRange),
+            ("u,y", "u*u^", ParseError),
+        ],
+    )
+    def test_declined_text_raises_the_descents_error(self, names, text, error):
+        ctx = Context(*names.split(","))
+        # v' is a key over (u, v, y) first: the memo is keyed by the names.
+        assert _read_canonical("v' + u", Context("u", "v", "y")) is not None
+        for _ in range(2):
+            assert _read_canonical(text, ctx) is None
+            with pytest.raises(error) as lane:
+                parse_poly(text, ctx)
+            with pytest.raises(error) as descent:
+                _descend(text, ctx)
+            assert str(lane.value) == str(descent.value)
